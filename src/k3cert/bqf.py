@@ -63,7 +63,6 @@ class DecisionStatus(Enum):
 class DecisionMethod(Enum):
     MOD_SCAN = "mod_scan"
     PELL_SEARCH = "pell_search"
-    BRUTE_FORCE = "brute_force"
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ Scan rows are emitted in deterministic order (g ascending, then s
 ascending) to the output file or stdout; the one-line summary goes to
 stderr so that CSV/JSON payloads stay machine-parseable.  The number of
 scan worker processes is read from the K3CERT_SCAN_WORKERS environment
-variable (default 1); the output is identical for any worker count.
+variable (default 1; anything but an integer >= 1 is a usage error); the
+output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
@@ -201,11 +201,16 @@ def render_certificate_text(cert: Certificate) -> str:
 
 
 def _worker_count() -> int:
+    """The scan worker count from the environment; ValueError unless it is
+    an integer >= 1."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0  # reported below, like any other count < 1
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _row_for_cell(cell: tuple[int, int]) -> ScanRow:
@@ -225,6 +230,9 @@ def run_scan(g_min: int, g_max: int, s_min: int, s_max: int) -> list[ScanRow]:
     cells = scan_cells(g_min, g_max, s_min, s_max)
     workers = _worker_count()
     if workers > 1 and len(cells) > 1:
+        # Imported here because it loads multiprocessing, about 2 MiB that
+        # a serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(cells) // (4 * workers) + 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_row_for_cell, cells, chunksize=chunk))
@@ -272,6 +280,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.g_min > args.g_max or args.s_min > args.s_max or args.s_min < -1:
         print("error: invalid ranges (need g_min <= g_max, s_min <= s_max, s_min >= -1)",
               file=sys.stderr)
+        return 2
+    try:
+        _worker_count()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = run_scan(args.g_min, args.g_max, args.s_min, args.s_max)
     summary = scan_summary(rows)

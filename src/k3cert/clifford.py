@@ -5,9 +5,12 @@ carried in exact rationals.  verify_clifford re-establishes the inequality
 
     min f(m, n) >= floor((g-1)/2)
 
-over the lattice region cut out by three arithmetic constraints, by exact
-enumeration of that region; brute_force_min_f is the independent oracle
-for the same minimum on a finite box.
+over the lattice region cut out by three arithmetic constraints.  In each
+slice of fixed n the region is one interval of m, found exactly with an
+integer square root, and f is strictly concave in m, so the slice minimum
+sits at an endpoint of that interval; the work per slice is constant.
+brute_force_min_f is the independent oracle for the same minimum on a
+finite box.
 """
 
 from __future__ import annotations
@@ -140,10 +143,20 @@ def verify_clifford(cfg: K3Config) -> CliffordReport:
     Finiteness: write R for the irrational sqrt(d^2 - 12(g-1)).  c1 forces
     m off the open interval between the roots -an and -bn of the quadratic
     in m, and combining the admissible side with the strip c2 yields
-    |n| * R < d - 2.  Hence |n| <= floor((d-2)/R); the strip then confines
-    m to at most floor((d-4)/6) + 1 integers per slice.  The n bound is
-    widened by one for safety; the extra slices are scanned and contribute
-    nothing.  All comparisons against R are exact squared-integer checks.
+    |n| * R < d - 2.  Hence |n| <= floor((d-2)/R).  The n bound is widened
+    by one for safety; the extra slices are checked and contribute nothing.
+
+    Each slice n is one interval of m, found in a constant number of integer
+    operations.  Put v = 6m + nd.  Then 12(3m^2 + ndm + n^2(g-1)) equals
+    v^2 - n^2 R^2, so c1 says |v| > |n| R, and c2 says 3 <= v <= d - 3.
+    As v > 0, c1 and c2 together read max(3, q + 1) <= v <= d - 3 with
+    q = isqrt(n^2 R^2): c2 rules out the side of c1 below the smaller root.
+    c3 caps m at floor(-(2n-1)(g-1)/d).  f is strictly concave in m, so on
+    the interval its minimum lies at an endpoint and no interior point ties
+    it.  Endpoints are visited in ascending m within ascending n with a
+    strict update, so argmin is the lexicographically smallest (n, m)
+    attaining the minimum, as in brute_force_min_f.  region_size is the sum
+    of the interval lengths.
     """
     gap = _require_root_gap(cfg)
     d, g = cfg.d, cfg.g
@@ -156,15 +169,16 @@ def verify_clifford(cfg: K3Config) -> CliffordReport:
     region = 0
     for n in range(-bound_n, bound_n + 1):
         nd = n * d
-        m_lo = -((nd - 3) // 6)          # ceil((3 - nd)/6)
-        m_hi = (d - 3 - nd) // 6
-        for m in range(m_lo, m_hi + 1):
-            c1, c2, c3 = constraints(cfg, m, n)
-            if c1 and c2 and c3:
-                region += 1
-                v = f_value(cfg, m, n)
-                if best_val is None or v < best_val:
-                    best_val, best_at = v, DivisorClass(m, n)
+        v_lo = max(3, isqrt(n * n * gap) + 1)
+        m_lo = -((nd - v_lo) // 6)       # ceil((v_lo - nd)/6)
+        m_hi = min((d - 3 - nd) // 6, -((2 * n - 1) * (g - 1)) // d)
+        if m_lo > m_hi:
+            continue
+        region += m_hi - m_lo + 1
+        for m in (m_lo, m_hi):
+            v = f_value(cfg, m, n)
+            if best_val is None or v < best_val:
+                best_val, best_at = v, DivisorClass(m, n)
     passed = best_val is None or best_val >= target
     return CliffordReport(best_val, best_at, region, bound_n, target, passed)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -128,6 +129,19 @@ def test_scan_workers_env_does_not_change_output(monkeypatch):
     monkeypatch.setenv("K3CERT_SCAN_WORKERS", "2")
     parallel = run_scan(12, 22, -1, 1)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_scan_invalid_workers_env_exits_two(monkeypatch, capsys, raw):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("K3CERT_SCAN_WORKERS", raw)
+    assert main(["scan", "--g-min", "12", "--g-max", "14", "--s-min", "-1", "--s-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "K3CERT_SCAN_WORKERS" in captured.err and repr(raw) in captured.err
 
 
 def test_scan_summary_counts():

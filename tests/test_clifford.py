@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3cert.clifford import (
@@ -18,6 +19,15 @@ from k3cert.clifford import (
 from k3cert.lattice import DivisorClass, K3Config, deg_C, pair
 
 configs = st.builds(K3Config, g=st.integers(2, 400), s=st.integers(-30, 30))
+
+
+def _nondegenerate(cfg: K3Config) -> bool:
+    gap = cfg.d * cfg.d - 12 * (cfg.g - 1)
+    return gap > 0 and isqrt(gap) ** 2 != gap
+
+
+nondegenerate_configs = st.builds(
+    K3Config, g=st.integers(2, 400), s=st.integers(-3, 40)).filter(_nondegenerate)
 
 
 # -- closed formulas -----------------------------------------------------------
@@ -173,6 +183,32 @@ def test_verify_matches_brute_force():
         assert bru.argmin == rep.argmin
         assert bru.region_size == rep.region_size
         assert bru.passed == rep.passed
+
+
+@settings(deadline=None)
+@given(nondegenerate_configs)
+@example(K3Config(2, 40))   # d = -38: the d <= 4 early return
+@example(K3Config(20, 40))  # d = -20: the d <= 4 early return
+def test_verify_clifford_matches_oracle(cfg):
+    rep = verify_clifford(cfg)
+    # c2 gives 3 <= 6m + nd <= d - 3, so |m| <= d(1 + |n|)/6 on the region:
+    # this box holds every point with |n| <= bound_n.
+    radius = max(1, rep.bound_n, cfg.d * (1 + rep.bound_n) // 6 + 1)
+    bru = brute_force_min_f(cfg, radius)
+    assert (rep.min_value, rep.argmin, rep.region_size, rep.passed) == (
+        bru.min_value, bru.argmin, bru.region_size, bru.passed)
+
+
+@pytest.mark.parametrize("g, s, expected", [
+    # the first two were recorded from a per-point enumeration of the region
+    (10**6, 1, (999991, DivisorClass(1, 0), 2, 2, 499999, True)),
+    (300000, 5, (299987, DivisorClass(1, 0), 1, 2, 149999, True)),
+    (10**30, 1, (10**30 - 9, DivisorClass(1, 0), 2, 2, (10**30 - 1) // 2, True)),
+])
+def test_verify_clifford_large_genus(g, s, expected):
+    rep = verify_clifford(K3Config(g, s))
+    assert (rep.min_value, rep.argmin, rep.region_size, rep.bound_n,
+            rep.target, rep.passed) == expected
 
 
 def test_clifford_report_internal_invariants():
