@@ -14,6 +14,14 @@ reduction cycles, with the SL2 transforms tracked so that a concrete
 witness can be read off and re-verified before it is returned.  For
 |t| in {1, 2} every representation is automatically primitive, which is
 what makes the decision complete.
+
+The cycle is walked once.  The transform of the walk is the product of
+one shear [[0, -1], [1, s]] per step; runs of _LEAF shears are multiplied
+into a leaf by a 4-tuple update, and the leaves into a balanced product
+tree (Bernstein, "Fast multiplication and its applications", 2008) kept
+as a binary-counter stack of O(log steps) partial products.  Its cost is
+near-linear in the witness size, where multiplying one shear at a time
+is quadratic.
 """
 
 from __future__ import annotations
@@ -221,44 +229,84 @@ def _rho(form: _Form, D: int, root: int) -> tuple[_Form, int]:
 
 
 def _reduce(form: _Form, D: int, root: int) -> tuple[_Form, _Mat]:
-    """Reduce to a reduced form, tracking the accumulated SL2 transform."""
+    """Reduce to a reduced form, tracking the accumulated SL2 transform.
+
+    The number of rho steps is logarithmic in |c| / sqrt(D) (Buchmann &
+    Vollmer, *Binary Quadratic Forms*, 2007, ch. 6), so the loop needs no cap."""
     m = _IDENTITY
     current = form
-    for _ in range(20000):
-        if _is_reduced(current, D, root):
-            return current, m
-        current, s = _rho(current, D, root)
-        m = _matmul(m, (0, -1, 1, s))
-    raise RuntimeError(f"reduction of {form} (D={D}) did not terminate")
-
-
-def _cycle_cap(D: int) -> int:
-    return 50 * isqrt(D) + 10000
-
-
-def _steps_to_target(start: _Form, targets: dict[_Form, _Mat],
-                     D: int, root: int) -> int | None:
-    """Walk the reduction cycle of `start`; number of steps to hit a target
-    form, or None once the walk returns to `start` without a hit."""
-    if start in targets:
-        return 0
-    current = start
-    for steps in range(1, _cycle_cap(D)):
-        current, _ = _rho(current, D, root)
-        if current in targets:
-            return steps
-        if current == start:
-            return None
-    raise RuntimeError(f"cycle walk exceeded cap for D={D}")
-
-
-def _walk(start: _Form, steps: int, D: int, root: int) -> tuple[_Form, _Mat]:
-    m = _IDENTITY
-    current = start
-    for _ in range(steps):
+    while not _is_reduced(current, D, root):
         current, s = _rho(current, D, root)
         m = _matmul(m, (0, -1, 1, s))
     return current, m
+
+
+# Shears per leaf of the product tree.  A leaf is built by a 4-tuple update
+# per step, which is cheaper than a 2x2 product while its entries are small.
+_LEAF = 32
+
+
+def _leaf_product(shears: Sequence[int]) -> _Mat:
+    """The product of the shears [[0, -1], [1, s]] in order, by direct update."""
+    p, q, r, t = _IDENTITY
+    for s in shears:
+        p, q, r, t = q, s * q - p, t, s * t - r
+    return p, q, r, t
+
+
+def _push_leaf(stack: list[tuple[int, _Mat]], leaf: _Mat) -> None:
+    """Append a leaf to a binary-counter stack of (leaf count, product) pairs.
+
+    Partial products of equal leaf counts are merged as they meet, so the
+    product tree stays balanced, the counts on the stack strictly decrease
+    and the stack holds O(log leaves) entries."""
+    size = 1
+    while stack and stack[-1][0] == size:
+        leaf = _matmul(stack.pop()[1], leaf)
+        size *= 2
+    stack.append((size, leaf))
+
+
+def _fold(stack: list[tuple[int, _Mat]], last: _Mat) -> _Mat:
+    """The product of the stack's entries, oldest first, times `last`."""
+    for _, m in reversed(stack):
+        last = _matmul(m, last)
+    return last
+
+
+def _cycle_hit(start: _Form, targets: dict[_Form, _Mat],
+               D: int, root: int) -> tuple[_Form, _Mat] | None:
+    """Walk the reduction cycle of `start` once.
+
+    Returns the first target form met and the transform that takes `start`
+    to it, or None once the walk is back at `start` without a hit.  The
+    transform is assembled as the walk goes: shears in leaves of _LEAF,
+    leaves in a balanced product tree kept on a binary-counter stack."""
+    if start in targets:
+        return start, _IDENTITY
+    target_bs = {form[1] for form in targets}
+    a0, b0, _ = start
+    _, b, c = start
+    stack: list[tuple[int, _Mat]] = []
+    while True:
+        shears = []
+        for _ in range(_LEAF):
+            # _rho, inlined: this loop is the cost of every open cell
+            ac = abs(c)
+            if ac > root:
+                bp = (-b) % (2 * ac)
+                if bp > ac:
+                    bp -= 2 * ac
+            else:
+                bp = root - ((root + b) % (2 * ac))
+            shears.append((b + bp) // (2 * c))
+            a, b, c = c, bp, (bp * bp - D) // (4 * c)
+            if b in target_bs and (a, b, c) in targets:
+                return (a, b, c), _fold(stack, _leaf_product(shears))
+            # ends: rho permutes the finite set of reduced forms of discriminant D (B&V ch. 6)
+            if b == b0 and a == a0:
+                return None
+        _push_leaf(stack, _leaf_product(shears))
 
 
 def represents(f: QuadraticForm, t: int,
@@ -270,7 +318,11 @@ def represents(f: QuadraticForm, t: int,
     `moduli` runs first and may certify an obstruction for any form; the
     complete proper-equivalence path additionally requires
     discriminant(f) > 0 and nonsquare, and settles the question either
-    way.  Returned witnesses are re-evaluated before being handed back.
+    way: f and each form (t, B, C) are reduced, and one walk of f's cycle
+    either meets a reduced target, whose transform the walk has assembled
+    in a streaming product tree, or comes back to its start, which proves
+    that t is not represented.  Returned witnesses are re-evaluated before
+    being handed back.
     """
     if t == 0:
         raise ValueError("target 0 is decided by represents_zero_nontrivially")
@@ -298,13 +350,12 @@ def represents(f: QuadraticForm, t: int,
             C = (B * B - D) // four_t
             g_red, m_g = _reduce((t, B, C), D, root)
             targets.setdefault(g_red, m_g)
-    if targets:
-        steps = _steps_to_target(f_red, targets, D, root)
-        if steps is not None:
-            hit, m_cycle = _walk(f_red, steps, D, root)
-            w = _matmul(_matmul(m_f, m_cycle), _inverse(targets[hit]))
-            m, n = w[0], w[2]
-            if f.evaluate(m, n) != t:
-                raise RuntimeError("internal error: extracted witness failed re-evaluation")
-            return RepDecision.witness_of(m, n)
+    found = _cycle_hit(f_red, targets, D, root) if targets else None
+    if found is not None:
+        hit, m_cycle = found
+        w = _matmul(_matmul(m_f, m_cycle), _inverse(targets[hit]))
+        m, n = w[0], w[2]
+        if f.evaluate(m, n) != t:
+            raise RuntimeError("internal error: extracted witness failed re-evaluation")
+        return RepDecision.witness_of(m, n)
     return RepDecision.none_proved()

@@ -1,7 +1,13 @@
+import hashlib
+import random
+from functools import reduce
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3cert import bqf
 from k3cert.bqf import (
     DEFAULT_MODULI,
     DecisionMethod,
@@ -276,3 +282,137 @@ def test_represents_complete_vs_brute(a, b, c, t):
         assert f.evaluate(*dec.witness) == t
     else:
         assert found is None, (f, t, found, dec)
+
+
+# -- one-pass cycle walk and streaming witness assembly ------------------------
+
+def _hit_step(f: QuadraticForm, t: int):
+    """Steps of rho from reduced f to the first reduced form properly
+    equivalent to some (t, B, C), counted by a plain walk; None without a hit."""
+    D = f.discriminant()
+    root = isqrt(D)
+    start, _ = bqf._reduce((f.a, f.b, f.c), D, root)
+    targets = {bqf._reduce((t, B, (B * B - D) // (4 * t)), D, root)[0]
+               for B in range(2 * abs(t)) if (B * B - D) % (4 * t) == 0}
+    current, steps = start, 0
+    while current not in targets:
+        current, _ = bqf._rho(current, D, root)
+        steps += 1
+        if current == start:
+            return None
+    return steps
+
+
+# Recorded from the two-pass walk with sequential products that preceded the
+# product tree.  Cells (g, s) of the (-2) question 3m^2 + (g-s)mn + (g-1)n^2 = -1,
+# with the rho step of the hit.  Every hit after step 0 among the 1,760 witness
+# cells of the benchmark's scan grid and check-witness draw came at an odd step,
+# so these meet a leaf boundary (_LEAF = 32) one step after it.
+PINNED_CELLS = [
+    ((14, 1), 0, (2, -1)),
+    ((24, 7), 0, (-3, 1)),
+    ((27, 9), 0, (-3, 1)),
+    ((412, 9), 5, (-445, 433)),
+    ((2315, 10), 25, (-20513479271, 20406961132)),
+    ((396, 4), 31, (23421195631194207, -23062665287217062)),
+    ((390, 9), 33, (-2826897701710758, 2746320066437479)),
+    ((452, 0), 65, (57046805013284105474981800510055453,
+                    -56792124128618563674368323291287794)),
+    ((460, 9), 97, (-2271567141242582563481212960010608177312070563,
+                    2216761651201943806236240774766418794560770479)),
+    ((420, -1), 129, (490093447472899424381650057165503290459448899007466428672716385,
+                      -488915317751212757027273734748680844294751831634165223716954084)),
+    ((2049, -1), None, None),
+]
+
+# Hits exactly on a leaf boundary, from forms outside the family.
+PINNED_FORMS = [
+    ((1, 160, -39), 2, 32, (-1828980957550771, -7514925389951119)),
+    ((1, 211, -4), 2, 64, (-6112626067429587794799636137,
+                           -322469992246369173454936954687)),
+]
+
+# Benchmark check-witness cells with witnesses of 10,000 to 14,000 bits,
+# pinned by bit length and the SHA-256 of "m,n" in decimal.
+PINNED_LARGE = [
+    ((4417, 0), 5827, 10096, "27e3e274a0cf6bfb58100515bcf4c4cec8a48d44ab209c5a25125b0c20c8e972"),
+    ((8466, 7), 7085, 11967, "582d178929953379cd4f136611fbe53bb4e6dbe26916be5f2ed52438b7a2d032"),
+    ((11267, 10), 6693, 11444, "6104b3c6b2c33cf4ea7719a0123a6c855efdd51b94f47ec8a99c0ebb4b1299d4"),
+    ((12261, -1), 7631, 13175, "67c008d8754e4fd090d5e2f6964109252592a9f9cc4c62e5fad775720a9b5da1"),
+    ((29337, -1), 5851, 10007, "957015d3635754c5a0716d40ce9dd8ff470aae0adc53d7e53855478fd94355d4"),
+]
+
+
+def _minus_two_form(g: int, s: int) -> QuadraticForm:
+    return QuadraticForm(3, g - s, g - 1)
+
+
+def _bits(witness) -> int:
+    return max(abs(x).bit_length() for x in witness)
+
+
+@pytest.mark.parametrize("cell, step, witness", PINNED_CELLS)
+def test_represents_pinned_cells(cell, step, witness):
+    f = _minus_two_form(*cell)
+    assert _hit_step(f, -1) == step
+    dec = represents(f, -1)
+    assert dec.witness == witness
+    assert dec.status is (DecisionStatus.NONE_PROVED if witness is None
+                          else DecisionStatus.WITNESS)
+
+
+@pytest.mark.parametrize("coeffs, t, step, witness", PINNED_FORMS)
+def test_represents_pinned_leaf_boundaries(coeffs, t, step, witness):
+    f = QuadraticForm(*coeffs)
+    assert step % bqf._LEAF == 0 and _hit_step(f, t) == step
+    assert represents(f, t).witness == witness
+
+
+@pytest.mark.parametrize("cell, step, bits, digest", PINNED_LARGE)
+def test_represents_pinned_large_witnesses(cell, step, bits, digest):
+    f = _minus_two_form(*cell)
+    assert _hit_step(f, -1) == step
+    m, n = represents(f, -1).witness
+    assert _bits((m, n)) == bits
+    assert hashlib.sha256(f"{m},{n}".encode()).hexdigest() == digest
+
+
+def _sequential_shear_product(shears):
+    # independent reference: left-to-right 2x2 products, one shear at a time
+    def matmul(x, y):
+        return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+    return reduce(matmul, [(0, -1, 1, s) for s in shears], (1, 0, 0, 1))
+
+
+def _streamed_shear_product(shears):
+    # leaves of _LEAF shears through the binary-counter stack, as the walk does
+    L = bqf._LEAF
+    full = len(shears) // L * L
+    stack = []
+    for i in range(0, full, L):
+        bqf._push_leaf(stack, bqf._leaf_product(shears[i:i + L]))
+        leaves = i // L + 1
+        # balanced: the leaf counts on the stack are the binary digits of `leaves`
+        assert [size for size, _ in stack] == [
+            1 << k for k in reversed(range(leaves.bit_length())) if leaves >> k & 1]
+    return bqf._fold(stack, bqf._leaf_product(shears[full:]))
+
+
+def test_streaming_shear_product_matches_sequential_fold():
+    L = bqf._LEAF
+    lengths = [0, 1, L - 1, L, L + 1]
+    lengths += [(1 << k) * L + e for k in range(1, 5) for e in (-1, 1)]
+    rng = random.Random(4)
+    for n in lengths:
+        shears = [rng.randint(-40, 40) for _ in range(n)]
+        assert _streamed_shear_product(shears) == _sequential_shear_product(shears), n
+
+
+def test_represents_hard_cell_100135_2():
+    # hit after 262,763 steps of rho; ~25 s with sequential products (2-core x86-64)
+    f = _minus_two_form(100135, 2)
+    dec = represents(f, -1)
+    assert dec.status is DecisionStatus.WITNESS
+    assert f.evaluate(*dec.witness) == -1
+    assert _bits(dec.witness) == 451_147
