@@ -78,27 +78,28 @@ class RepDecision:
     """Outcome of a representability query, with its supporting evidence."""
 
     status: DecisionStatus
-    method: DecisionMethod
     witness: tuple[int, int] | None = None
     modulus: int | None = None
 
+    @property
+    def method(self) -> DecisionMethod:
+        """The residue scan settles exactly the obstructed outcomes; every
+        other outcome comes from the cycle walk."""
+        if self.status is DecisionStatus.OBSTRUCTED_MOD:
+            return DecisionMethod.MOD_SCAN
+        return DecisionMethod.PELL_SEARCH
+
     @classmethod
-    def witness_of(cls, m: int, n: int,
-                   method: DecisionMethod = DecisionMethod.PELL_SEARCH) -> "RepDecision":
-        return cls(DecisionStatus.WITNESS, method, witness=(m, n))
+    def witness_of(cls, m: int, n: int) -> "RepDecision":
+        return cls(DecisionStatus.WITNESS, witness=(m, n))
 
     @classmethod
     def obstructed(cls, modulus: int) -> "RepDecision":
-        return cls(DecisionStatus.OBSTRUCTED_MOD, DecisionMethod.MOD_SCAN, modulus=modulus)
+        return cls(DecisionStatus.OBSTRUCTED_MOD, modulus=modulus)
 
     @classmethod
-    def none_proved(cls,
-                    method: DecisionMethod = DecisionMethod.PELL_SEARCH) -> "RepDecision":
-        return cls(DecisionStatus.NONE_PROVED, method)
-
-    @property
-    def is_witness(self) -> bool:
-        return self.status is DecisionStatus.WITNESS
+    def none_proved(cls) -> "RepDecision":
+        return cls(DecisionStatus.NONE_PROVED)
 
     def describe(self) -> str:
         if self.status is DecisionStatus.WITNESS:
@@ -309,14 +310,13 @@ def _cycle_hit(start: _Form, targets: dict[_Form, _Mat],
         _push_leaf(stack, _leaf_product(shears))
 
 
-def represents(f: QuadraticForm, t: int,
-               moduli: Sequence[int] = DEFAULT_MODULI) -> RepDecision:
+def represents(f: QuadraticForm, t: int) -> RepDecision:
     """Complete decision of Q(m, n) = t for indefinite anisotropic forms.
 
     Requires |t| in {1, 2}; any representation of such a target is
     primitive since gcd(m, n)^2 divides t.  A cheap residue scan over
-    `moduli` runs first and may certify an obstruction for any form; the
-    complete proper-equivalence path additionally requires
+    DEFAULT_MODULI runs first and may certify an obstruction for any form;
+    the complete proper-equivalence path additionally requires
     discriminant(f) > 0 and nonsquare, and settles the question either
     way: f and each form (t, B, C) are reduced, and one walk of f's cycle
     either meets a reduced target, whose transform the walk has assembled
@@ -329,19 +329,18 @@ def represents(f: QuadraticForm, t: int,
     if abs(t) > 2:
         raise ValueError(f"complete decision covers |t| in {{1, 2}} only, got {t}")
 
-    k = modular_obstruction(f, t, moduli)
+    k = modular_obstruction(f, t)
     if k is not None:
         return RepDecision.obstructed(k)
 
     D = f.discriminant()
     if D <= 0:
         raise ValueError(f"represents requires an indefinite form, got discriminant {D}")
-    if integer_sqrt(D) is not None:
+    root = isqrt(D)
+    if root * root == D:
         raise ValueError(
             f"represents requires a nonsquare discriminant, got {D}; "
             "square discriminants factor into linear forms and belong to the zero test")
-
-    root = isqrt(D)
     f_red, m_f = _reduce((f.a, f.b, f.c), D, root)
     targets: dict[_Form, _Mat] = {}
     four_t = 4 * t

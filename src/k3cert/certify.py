@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bqf import DecisionStatus, RepDecision, integer_sqrt
 from .clifford import CliffordReport, gamma, verify_clifford
-from .lattice import K3Config, minus_two_status, square_zero_status
+from .lattice import K3Config, minus_two_status
 
 REGIME_STRONG = "strong"
 REGIME_RELAXED = "relaxed"
@@ -113,17 +113,16 @@ def build_certificate(g: int, s: int) -> Certificate:
     if regime == REGIME_OUTSIDE:
         reasons.append(f"(g, s) = ({g}, {s}) lies outside both hypothesis ranges")
 
-    lemma21_ok = lemma21_check(g, s)
+    # Delta < 0 or nonsquare is both Lemma 2.1 and the absence of isotropic
+    # classes: square_zero_form has discriminant 4 * Delta.
+    delta = cfg.delta
+    lemma21_ok = square_zero_free = delta < 0 or integer_sqrt(delta) is None
     if not lemma21_ok:
         reasons.append("d^2 - 6(2g-2) is a perfect square")
-
-    square_zero_free = not square_zero_status(cfg)
-    if not square_zero_free:
         reasons.append("an isotropic divisor class exists")
 
-    root_gap = d * d - 12 * (g - 1)
     minus_two: RepDecision | None = None
-    if root_gap > 0 and integer_sqrt(root_gap) is None:
+    if delta > 0 and lemma21_ok:
         minus_two = minus_two_status(cfg)
         if minus_two.status is DecisionStatus.WITNESS:
             m, n = minus_two.witness  # type: ignore[misc]

@@ -6,10 +6,10 @@ fail, 2 for usage errors and out-of-domain queries.
 
 Scan rows are emitted in deterministic order (g ascending, then s
 ascending) to the output file or stdout; the one-line summary goes to
-stderr so that CSV/JSON payloads stay machine-parseable.  The number of
-scan worker processes is read from the K3CERT_SCAN_WORKERS environment
-variable (default 1; anything but an integer >= 1 is a usage error); the
-output is identical for any worker count.
+stderr so that CSV/JSON payloads stay machine-parseable.  A scan runs in
+one process.  Since rows come out g-ascending, the rows of scans over
+consecutive disjoint g-ranges, run in separate processes, concatenate in
+range order to the rows of one scan over their union.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -27,17 +26,11 @@ from .bqf import QuadraticForm, RepDecision, represents, zero_witness
 from .certify import CONCLUSION_APPLIES, Certificate, build_certificate
 from .clifford import CliffordReport
 
-WORKERS_ENV = "K3CERT_SCAN_WORKERS"
 MIN_SCAN_GENUS = 12
 
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_frac(text: str) -> Fraction:
-    num, den = text.split("/")
-    return Fraction(int(num), int(den))
 
 
 @dataclass(frozen=True)
@@ -200,24 +193,6 @@ def render_certificate_text(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _worker_count() -> int:
-    """The scan worker count from the environment; ValueError unless it is
-    an integer >= 1."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0  # reported below, like any other count < 1
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
-    return workers
-
-
-def _row_for_cell(cell: tuple[int, int]) -> ScanRow:
-    g, s = cell
-    return scan_row(build_certificate(g, s))
-
-
 def scan_cells(g_min: int, g_max: int, s_min: int, s_max: int) -> list[tuple[int, int]]:
     """Admissible cells of the requested rectangle, g ascending then s
     ascending.  Cells below the universal genus floor are skipped."""
@@ -227,30 +202,18 @@ def scan_cells(g_min: int, g_max: int, s_min: int, s_max: int) -> list[tuple[int
 
 
 def run_scan(g_min: int, g_max: int, s_min: int, s_max: int) -> list[ScanRow]:
-    cells = scan_cells(g_min, g_max, s_min, s_max)
-    workers = _worker_count()
-    if workers > 1 and len(cells) > 1:
-        # Imported here because it loads multiprocessing, about 2 MiB that
-        # a serial run never needs.
-        from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, len(cells) // (4 * workers) + 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_row_for_cell, cells, chunksize=chunk))
-    return [_row_for_cell(cell) for cell in cells]
+    return [scan_row(build_certificate(g, s))
+            for g, s in scan_cells(g_min, g_max, s_min, s_max)]
 
 
 def scan_summary(rows: list[ScanRow]) -> dict:
     applies = sum(1 for r in rows if r.conclusion == CONCLUSION_APPLIES)
-    max_gap: Fraction | None = None
-    max_at: ScanRow | None = None
-    for row in rows:
-        gap = parse_frac(row.gap)
-        if max_gap is None or gap > max_gap:
-            max_gap, max_at = gap, row
+    # max keeps the first of equal gaps, so ties go to the earliest row
+    max_at = max(rows, key=lambda r: Fraction(r.gap), default=None)
     return {
         "cells": len(rows),
         "theorem_applies": applies,
-        "max_gap": frac_str(max_gap) if max_gap is not None else None,
+        "max_gap": max_at.gap if max_at is not None else None,
         "max_gap_at": {"g": max_at.g, "s": max_at.s} if max_at is not None else None,
     }
 
@@ -280,11 +243,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.g_min > args.g_max or args.s_min > args.s_max or args.s_min < -1:
         print("error: invalid ranges (need g_min <= g_max, s_min <= s_max, s_min >= -1)",
               file=sys.stderr)
-        return 2
-    try:
-        _worker_count()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = run_scan(args.g_min, args.g_max, args.s_min, args.s_max)
     summary = scan_summary(rows)

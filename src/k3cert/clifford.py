@@ -88,7 +88,7 @@ def _gt_sqrt(u: int, n: int) -> bool:
 
 def _require_root_gap(cfg: K3Config) -> int:
     """d^2 - 12(g-1), validated positive and nonsquare."""
-    gap = cfg.d * cfg.d - 12 * (cfg.g - 1)
+    gap = cfg.delta
     if gap <= 0:
         raise ValueError(f"requires d^2 > 12(g-1); got gap {gap} for (g, s) = ({cfg.g}, {cfg.s})")
     if integer_sqrt(gap) is not None:

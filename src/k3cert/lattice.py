@@ -32,6 +32,15 @@ class K3Config:
     def d(self) -> int:
         return self.g - self.s
 
+    @property
+    def delta(self) -> int:
+        """The discriminant d^2 - 12(g-1) that every numeric hypothesis reads:
+        the Lemma 2.1 quantity d^2 - 6(2g-2), the discriminant of
+        minus_two_form, a quarter of that of square_zero_form, and the
+        Clifford root gap."""
+        d = self.d
+        return d * d - 12 * (self.g - 1)
+
 
 @dataclass(frozen=True)
 class DivisorClass:

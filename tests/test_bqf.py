@@ -178,6 +178,11 @@ def test_represents_named_examples():
     dec = represents(QuadraticForm(3, 7, 3), -1)
     assert dec.status is DecisionStatus.WITNESS
     assert QuadraticForm(3, 7, 3).evaluate(*dec.witness) == -1
+    assert dec.method is DecisionMethod.PELL_SEARCH
+
+    dec = represents(QuadraticForm(3, 11, -9), -1)
+    assert dec.status is DecisionStatus.NONE_PROVED
+    assert dec.method is DecisionMethod.PELL_SEARCH
 
     dec = represents(QuadraticForm(3, 12, 12), -1)
     assert dec.status is DecisionStatus.OBSTRUCTED_MOD and dec.modulus == 3

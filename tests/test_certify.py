@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3cert.bqf import DecisionStatus
+from k3cert.bqf import DecisionStatus, integer_sqrt
 from k3cert.certify import (
     CONCLUSION_APPLIES,
     CONCLUSION_FAILS,
@@ -15,7 +15,15 @@ from k3cert.certify import (
     lemma21_check,
 )
 from k3cert.clifford import gamma
-from k3cert.lattice import C, H, K3Config, pair
+from k3cert.lattice import (
+    C,
+    H,
+    K3Config,
+    minus_two_form,
+    pair,
+    square_zero_form,
+    square_zero_status,
+)
 
 
 def test_check_hypotheses_examples():
@@ -38,6 +46,27 @@ def test_lemma21_sweep():
     for s in range(-1, 6):
         for g in range(max(4 * s + 14, 12), 301):
             assert lemma21_check(g, s), (g, s)
+
+
+def test_delta_classification_matches_oracles():
+    # build_certificate classifies Delta = d^2 - 12(g-1) once; lemma21_check
+    # and square_zero_status decide the same two flags independently.
+    kinds = set()
+    for g in range(2, 301):
+        for s in range(-3, 61):
+            cfg = K3Config(g, s)
+            delta = cfg.delta
+            square = delta >= 0 and integer_sqrt(delta) is not None
+            kinds.add("negative" if delta < 0 else "zero" if delta == 0
+                      else "square" if square else "nonsquare")
+            cert = build_certificate(g, s)
+            assert (cert.lemma21_ok == cert.square_zero_free == lemma21_check(g, s)
+                    == (not square_zero_status(cfg))), (g, s)
+            assert (cert.minus_two is None) == (not (delta > 0 and not square)), (g, s)
+            assert minus_two_form(cfg).discriminant() == delta
+            assert square_zero_form(cfg).discriminant() == 4 * delta
+    # Delta < 0, Delta = 0, square Delta > 0 and nonsquare Delta > 0 all occur
+    assert kinds == {"negative", "zero", "square", "nonsquare"}
 
 
 def test_expected_dim_examples():

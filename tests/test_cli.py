@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import subprocess
 import sys
@@ -124,32 +123,19 @@ def test_scan_invalid_ranges_exit_two(capsys):
     capsys.readouterr()
 
 
-def test_scan_workers_env_does_not_change_output(monkeypatch):
-    serial = run_scan(12, 22, -1, 1)
-    monkeypatch.setenv("K3CERT_SCAN_WORKERS", "2")
-    parallel = run_scan(12, 22, -1, 1)
-    assert serial == parallel
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-def test_scan_invalid_workers_env_exits_two(monkeypatch, capsys, raw):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("K3CERT_SCAN_WORKERS", raw)
-    assert main(["scan", "--g-min", "12", "--g-max", "14", "--s-min", "-1", "--s-max", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "K3CERT_SCAN_WORKERS" in captured.err and repr(raw) in captured.err
-
-
 def test_scan_summary_counts():
     rows = run_scan(19, 19, -1, 1)
     summary = scan_summary(rows)
     assert summary["cells"] == 3
     assert summary["max_gap"] == "2/1"
     assert summary["max_gap_at"] == {"g": 19, "s": 1}
+    # gaps 2/1, 3/2, 2/1: the first of the tied maxima is reported
+    rows = run_scan(19, 21, 1, 1)
+    assert [r.gap for r in rows] == ["2/1", "3/2", "2/1"]
+    summary = scan_summary(rows)
+    assert summary["max_gap"] == "2/1"
+    assert summary["max_gap_at"] == {"g": 19, "s": 1}
+    assert scan_summary([])["max_gap"] is None
 
 
 def test_form_obstructed(capsys):
@@ -215,3 +201,13 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "k3cert", "check", "--g", "14", "--s", "1"],
         capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+def test_cli_import_starts_no_process_machinery():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, k3cert.cli; "
+         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
