@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Census of the (-2)-class decision across the strong-regime window.
 
-No closed criterion is known for when 3m^2 + dmn + (g-1)n^2 avoids -1, so
-this script measures it empirically: for every strong-regime pair with
-s in [s_min, s_max] and g <= g_max it runs the complete decision and
-tallies obstruction moduli, witnesses, and proved-empty outcomes.
+No closed criterion is known for when 3m^2 + dmn + (g-1)n^2 avoids -1.  An
+odd prime p = 2 (mod 3) dividing Delta = d^2 - 12(g-1) is sufficient (a genus
+character: 12*Q = (6m + dn)^2 - Delta*n^2, and -3 is not a square mod
+such p), but not necessary.  So this script measures the question
+empirically: for every strong-regime pair with s in [s_min, s_max] and
+g <= g_max it runs the complete decision and tallies obstruction moduli,
+witnesses, and proved-empty outcomes.
 
 Usage: python3 scripts/minus_two_census.py [--g-max 300] [--s-max 6]
 """
@@ -35,7 +38,7 @@ def main() -> int:
                 if len(witness_samples) < 8:
                     witness_samples.append((g, s, dec.witness))
             else:
-                tally["none proved (cycle exhausted)"] += 1
+                tally["none proved"] += 1
 
     total = sum(tally.values())
     print(f"{total} strong-regime cells, s in [{args.s_min}, {args.s_max}], g <= {args.g_max}")

@@ -30,8 +30,6 @@ from .clifford import (
     gamma,
     gamma1_max,
     gonality,
-    mercat_lower_bound,
-    roots_ab_checks,
     verify_clifford,
 )
 from .lattice import (
@@ -39,7 +37,6 @@ from .lattice import (
     DivisorClass,
     H,
     K3Config,
-    ample_obstruction_scan,
     deg_C,
     deg_H,
     minus_two_form,

@@ -9,11 +9,15 @@ obstruction, or a proof of non-representability.
 The complete decision works by proper-equivalence testing: a form with
 nonsquare discriminant D represents t primitively exactly when it is
 properly equivalent to some form (t, B, C) with B^2 = D (mod 4t) and
-0 <= B < 2|t|.  Proper equivalence of indefinite forms is decided on
-reduction cycles, with the SL2 transforms tracked so that a concrete
-witness can be read off and re-verified before it is returned.  For
-|t| in {1, 2} every representation is automatically primitive, which is
-what makes the decision complete.
+0 <= B < 2|t|.  Genus characters are compared first: at an odd prime
+p | D every form properly equivalent to (t, B, C) takes t mod p, so a form
+that does not is in another genus and is settled without a walk (Cox,
+*Primes of the Form x^2 + ny^2*, sec. 3; Buchmann & Vollmer, *Binary
+Quadratic Forms*, 2007).  Otherwise proper equivalence of indefinite
+forms is decided on reduction cycles, with the SL2 transforms tracked so
+that a concrete witness can be read off and re-verified before it is
+returned.  For |t| in {1, 2} every representation is automatically
+primitive, which is what makes the decision complete.
 
 The cycle is walked once.  The transform of the walk is the product of
 one shear [[0, -1], [1, s]] per step; runs of _LEAF shears are multiplied
@@ -28,10 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Sequence
 
 DEFAULT_MODULI: tuple[int, ...] = (3, 4, 5, 8, 9, 16)
+
+# Odd primes below 1000, for the genus characters; their product lets one gcd
+# skip a discriminant with no small odd factor.
+_GENUS_PRIMES: tuple[int, ...] = tuple(
+    p for p in range(3, 1000, 2) if all(p % q for q in range(3, isqrt(p) + 1, 2)))
+_GENUS_PRODUCT = prod(_GENUS_PRIMES)
 
 _Form = tuple[int, int, int]
 _Mat = tuple[int, int, int, int]  # row-major [[p, q], [r, s]]
@@ -45,6 +55,15 @@ def integer_sqrt(n: int) -> int | None:
         raise ValueError(f"integer_sqrt requires n >= 0, got {n}")
     r = isqrt(n)
     return r if r * r == n else None
+
+
+def int_text(x: int) -> str:
+    """The decimal form of x, or "<N-bit integer>" when x has more digits than
+    the interpreter converts to text (sys.get_int_max_str_digits)."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
 
 
 @dataclass(frozen=True)
@@ -84,7 +103,8 @@ class RepDecision:
     @property
     def method(self) -> DecisionMethod:
         """The residue scan settles exactly the obstructed outcomes; every
-        other outcome comes from the cycle walk."""
+        other outcome comes from the proper-equivalence decision, which
+        compares genus characters and then walks the reduction cycle."""
         if self.status is DecisionStatus.OBSTRUCTED_MOD:
             return DecisionMethod.MOD_SCAN
         return DecisionMethod.PELL_SEARCH
@@ -104,7 +124,7 @@ class RepDecision:
     def describe(self) -> str:
         if self.status is DecisionStatus.WITNESS:
             assert self.witness is not None
-            return f"Witness({self.witness[0]}, {self.witness[1]})"
+            return f"Witness({int_text(self.witness[0])}, {int_text(self.witness[1])})"
         if self.status is DecisionStatus.OBSTRUCTED_MOD:
             return f"ObstructedMod({self.modulus})"
         return "NoneProved"
@@ -310,6 +330,34 @@ def _cycle_hit(start: _Form, targets: dict[_Form, _Mat],
         _push_leaf(stack, _leaf_product(shears))
 
 
+def _character_fails(form: _Form, t: int, p: int) -> bool:
+    """For an odd prime p dividing the discriminant D and |t| in {1, 2}:
+    True when the form never takes the value t mod p.
+
+    4a*Q(m, n) = (2am + bn)^2 - D*n^2, so when p does not divide a, Q = t
+    forces a*t to be a square mod p (Euler's criterion decides it).  When p
+    divides a it divides b, and c plays the part of a.  When p divides a, b
+    and c, Q = 0 mod p, which is never t."""
+    a, _, c = form
+    u = a if a % p else c
+    return u % p == 0 or pow(u * t % p, (p - 1) // 2, p) == p - 1
+
+
+def _genus_obstructed(form: _Form, t: int, D: int) -> bool:
+    """True when a genus character at an odd prime p < 1000 dividing D shows
+    that the form does not take t.  Forms in different genera are never
+    equivalent (Cox, *Primes of the Form x^2 + ny^2*, sec. 3)."""
+    common = gcd(D, _GENUS_PRODUCT)
+    for p in _GENUS_PRIMES:
+        if common == 1:
+            return False
+        if common % p == 0:
+            if _character_fails(form, t, p):
+                return True
+            common //= p
+    return False
+
+
 def represents(f: QuadraticForm, t: int) -> RepDecision:
     """Complete decision of Q(m, n) = t for indefinite anisotropic forms.
 
@@ -318,11 +366,13 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     DEFAULT_MODULI runs first and may certify an obstruction for any form;
     the complete proper-equivalence path additionally requires
     discriminant(f) > 0 and nonsquare, and settles the question either
-    way: f and each form (t, B, C) are reduced, and one walk of f's cycle
-    either meets a reduced target, whose transform the walk has assembled
-    in a streaming product tree, or comes back to its start, which proves
-    that t is not represented.  Returned witnesses are re-evaluated before
-    being handed back.
+    way.  A genus character at an odd prime p < 1000 dividing D that f
+    fails proves that t is not represented.  Otherwise f and each form
+    (t, B, C) are reduced, and one walk of f's cycle either meets a reduced
+    target, whose transform the walk has assembled in a streaming product
+    tree, or comes back to its start, which proves that t is not
+    represented.  Returned witnesses are re-evaluated before being handed
+    back.
     """
     if t == 0:
         raise ValueError("target 0 is decided by represents_zero_nontrivially")
@@ -341,7 +391,10 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
         raise ValueError(
             f"represents requires a nonsquare discriminant, got {D}; "
             "square discriminants factor into linear forms and belong to the zero test")
-    f_red, m_f = _reduce((f.a, f.b, f.c), D, root)
+    form = (f.a, f.b, f.c)
+    if _genus_obstructed(form, t, D):
+        return RepDecision.none_proved()
+    f_red, m_f = _reduce(form, D, root)
     targets: dict[_Form, _Mat] = {}
     four_t = 4 * t
     for B in range(2 * abs(t)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bqf import DecisionStatus, RepDecision, integer_sqrt
+from .bqf import DecisionStatus, RepDecision, int_text, integer_sqrt
 from .clifford import CliffordReport, gamma, verify_clifford
 from .lattice import K3Config, minus_two_status
 
@@ -126,7 +126,7 @@ def build_certificate(g: int, s: int) -> Certificate:
         minus_two = minus_two_status(cfg)
         if minus_two.status is DecisionStatus.WITNESS:
             m, n = minus_two.witness  # type: ignore[misc]
-            reasons.append(f"a (-2)-class exists at (m, n) = ({m}, {n})")
+            reasons.append(f"a (-2)-class exists at (m, n) = ({int_text(m)}, {int_text(n)})")
     else:
         reasons.append("(-2)-class decision unavailable: d^2 - 12(g-1) is not positive nonsquare")
     minus_two_ok = minus_two is not None and minus_two.status is not DecisionStatus.WITNESS

@@ -229,13 +229,13 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         cert = build_certificate(args.g, args.s)
+        # json.dumps raises ValueError on a witness past the int-to-str digit limit
+        json_text = (json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+                     if args.format == "json" else None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        sys.stdout.write(json.dumps(certificate_to_dict(cert), indent=2) + "\n")
-    else:
-        sys.stdout.write(render_certificate_text(cert))
+    sys.stdout.write(json_text or render_certificate_text(cert))
     return 0 if cert.conclusion == CONCLUSION_APPLIES else 1
 
 

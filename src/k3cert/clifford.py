@@ -1,7 +1,7 @@
 """Clifford-index and gonality numerics, with a certified finite minimization.
 
-gamma, gamma1_max, gonality and mercat_lower_bound are closed formulas
-carried in exact rationals.  verify_clifford re-establishes the inequality
+gamma, gamma1_max and gonality are closed formulas carried in exact
+rationals.  verify_clifford re-establishes the inequality
 
     min f(m, n) >= floor((g-1)/2)
 
@@ -49,11 +49,6 @@ def gonality(g: int, r: int) -> int:
     return g + r - g // (r + 1)
 
 
-def mercat_lower_bound(g: int) -> Fraction:
-    """min(gamma1_max(g), gonality(g, 4)/2 - 2) as an exact rational."""
-    return min(Fraction(gamma1_max(g)), Fraction(gonality(g, 4), 2) - 2)
-
-
 def f_value(cfg: K3Config, m: int, n: int) -> int:
     """The objective -6m^2 + (1-2n)dm + (n-n^2)(2g-2) - 2, which equals
     deg_C(D) - D.D - 2 for D = mH + nC."""
@@ -76,16 +71,6 @@ def constraints(cfg: K3Config, m: int, n: int) -> tuple[bool, bool, bool]:
     return c1, c2, c3
 
 
-def _lt_sqrt(u: int, n: int) -> bool:
-    # u < sqrt(n), n > 0 nonsquare
-    return u < 0 or u * u < n
-
-
-def _gt_sqrt(u: int, n: int) -> bool:
-    # u > sqrt(n), n > 0 nonsquare
-    return u >= 0 and u * u > n
-
-
 def _require_root_gap(cfg: K3Config) -> int:
     """d^2 - 12(g-1), validated positive and nonsquare."""
     gap = cfg.delta
@@ -94,21 +79,6 @@ def _require_root_gap(cfg: K3Config) -> int:
     if integer_sqrt(gap) is not None:
         raise ValueError(f"requires d^2 - 12(g-1) nonsquare; got {gap} for (g, s) = ({cfg.g}, {cfg.s})")
     return gap
-
-
-def roots_ab_checks(cfg: K3Config) -> tuple[bool, bool, bool]:
-    """Exact bracketing of b = (d - sqrt(d^2 - 12(g-1)))/6, the smaller root
-    of 6x^2 - 2dx + 2g - 2.
-
-    Returns (b > 1, b < 4/3, b < 3/2), each decided by sign analysis plus a
-    single integer squaring; no floating point.
-    """
-    gap = _require_root_gap(cfg)
-    d = cfg.d
-    b_gt_1 = _gt_sqrt(d - 6, gap)     # d - 6 > sqrt(gap)
-    b_lt_43 = _lt_sqrt(d - 8, gap)    # d - 8 < sqrt(gap)
-    b_lt_32 = _lt_sqrt(d - 9, gap)    # d - 9 < sqrt(gap)
-    return b_gt_1, b_lt_43, b_lt_32
 
 
 @dataclass(frozen=True)

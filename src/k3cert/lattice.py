@@ -97,22 +97,3 @@ def square_zero_status(cfg: K3Config) -> bool:
 def minus_two_status(cfg: K3Config) -> RepDecision:
     """Complete decision of whether some class has self-intersection -2."""
     return represents(minus_two_form(cfg), -1)
-
-
-def ample_obstruction_scan(cfg: K3Config, box_radius: int) -> list[DivisorClass]:
-    """Classes inside the box that would obstruct ampleness of C.
-
-    Candidates are the numerical over-approximation of irreducible curve
-    classes (deg_H > 0 and self-intersection >= -2); a candidate is flagged
-    when its degree against C is <= 0.  An empty list corroborates
-    ampleness on the scanned window only; it is not a proof.
-    """
-    if box_radius < 1:
-        raise ValueError(f"box_radius must be >= 1, got {box_radius}")
-    flagged: list[DivisorClass] = []
-    for m in range(-box_radius, box_radius + 1):
-        for n in range(-box_radius, box_radius + 1):
-            dc = DivisorClass(m, n)
-            if deg_H(cfg, dc) > 0 and pair(cfg, dc, dc) >= -2 and deg_C(cfg, dc) <= 0:
-                flagged.append(dc)
-    return flagged

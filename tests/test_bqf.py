@@ -13,6 +13,7 @@ from k3cert.bqf import (
     DecisionMethod,
     DecisionStatus,
     QuadraticForm,
+    RepDecision,
     integer_sqrt,
     modular_obstruction,
     pell_fundamental,
@@ -59,6 +60,13 @@ def test_integer_sqrt_definition(n):
         assert isqrt(n) ** 2 != n
     else:
         assert r >= 0 and r * r == n
+
+
+def test_int_text_bounds_huge_integers():
+    assert bqf.int_text(-12345) == "-12345"
+    big = 10 ** 5000
+    assert bqf.int_text(big) == bqf.int_text(-big) == "<16610-bit integer>"
+    assert RepDecision.witness_of(big, -1).describe() == "Witness(<16610-bit integer>, -1)"
 
 
 # -- nontrivial zeros ---------------------------------------------------------
@@ -421,3 +429,95 @@ def test_represents_hard_cell_100135_2():
     assert dec.status is DecisionStatus.WITNESS
     assert f.evaluate(*dec.witness) == -1
     assert _bits(dec.witness) == 451_147
+
+
+# -- genus characters before the walk ------------------------------------------
+
+def _small_indefinite_forms():
+    """Forms with |a|, |c| <= 12 and |b| <= 15 whose discriminant is positive
+    and nonsquare, with that discriminant."""
+    for a in range(-12, 13):
+        for b in range(-15, 16):
+            for c in range(-12, 13):
+                D = b * b - 4 * a * c
+                if D > 0 and isqrt(D) ** 2 != D:
+                    yield (a, b, c), D
+
+
+def test_genus_primes_match_sieve():
+    sieve = [True] * 1000
+    for p in range(2, 32):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, 1000, p))
+    odd_primes = tuple(n for n in range(3, 1000) if sieve[n])
+    assert bqf._GENUS_PRIMES == odd_primes
+    assert len(odd_primes) == 167
+    assert bqf._GENUS_PRODUCT == reduce(lambda x, y: x * y, odd_primes)
+
+
+def test_genus_character_settles_without_a_walk(monkeypatch):
+    # D = 253 = 11 * 23 with 11 = 2 (mod 3); reported like the walk's outcome
+    monkeypatch.setattr(bqf, "_cycle_hit", lambda *args: pytest.fail("walked the cycle"))
+    dec = represents(QuadraticForm(3, 23, 23), -1)
+    assert dec.status is DecisionStatus.NONE_PROVED
+    assert dec.method is DecisionMethod.PELL_SEARCH
+
+
+def test_genus_step_never_hides_a_hit():
+    # wherever a character fires, a plain walk closes without meeting a target
+    fired = 0
+    for form, D in _small_indefinite_forms():
+        for t in (-2, -1, 1, 2):
+            if bqf._genus_obstructed(form, t, D):
+                fired += 1
+                assert _hit_step(QuadraticForm(*form), t) is None, (form, t)
+    assert fired > 15_000
+
+
+def test_genus_characters_match_residue_scan():
+    # for an odd p | D the form is degenerate mod p: its character at p fails
+    # exactly when t has no representation mod p
+    scan: dict[tuple[int, ...], bool] = {}  # the scan reads the coefficients mod p only
+    fails = 0
+    for (a, b, c), D in _small_indefinite_forms():
+        for p in (p for p in bqf._GENUS_PRIMES if p <= 50 and D % p == 0):
+            for t in (-2, -1, 1, 2):
+                key = (a % p, b % p, c % p, t % p, p)
+                if key not in scan:
+                    scan[key] = modular_obstruction(QuadraticForm(*key[:3]), t, (p,)) == p
+                assert bqf._character_fails((a, b, c), t, p) is scan[key], ((a, b, c), t, p)
+                fails += scan[key]
+    assert fails > 20_000
+
+
+def test_genus_step_never_fires_on_a_k3_witness_cell():
+    witnesses = fired = 0
+    for g in range(2, 401):
+        for s in range(-3, 41):
+            d = g - s
+            D = d * d - 12 * (g - 1)
+            if D <= 0 or isqrt(D) ** 2 == D:
+                continue
+            form = (3, d, g - 1)
+            obstructed = bqf._genus_obstructed(form, -1, D)
+            if _hit_step(QuadraticForm(*form), -1) is not None:
+                witnesses += 1
+                assert not obstructed, (g, s)
+            fired += obstructed
+            # away from 3, a character fails for t = -1 exactly at p = 2 (mod 3)
+            for p in bqf._GENUS_PRIMES[1:]:
+                if D % p == 0:
+                    assert bqf._character_fails(form, -1, p) is (p % 3 == 2), (g, s, p)
+    assert witnesses > 4000 and fired > 9000
+
+
+@pytest.mark.parametrize("coeffs, t", [
+    ((1, 1, 2), 1), ((1, 0, -9), 1),
+    # the character at 7 would fail for these: D must be checked first
+    ((1, 1, 2), -1), ((1, 3, -10), -1),
+])
+def test_represents_checks_discriminant_before_genus(coeffs, t):
+    f = QuadraticForm(*coeffs)
+    assert modular_obstruction(f, t) is None
+    with pytest.raises(ValueError):
+        represents(f, t)

@@ -147,6 +147,17 @@ def test_build_certificate_strong_cells_with_minus_two_class():
         assert cert.conclusion == CONCLUSION_FAILS
 
 
+def test_build_certificate_huge_witness_2399_4():
+    # the first scan cell whose witness passes the int-to-str digit limit
+    cert = build_certificate(2399, 4)
+    m, n = cert.minus_two.witness
+    assert minus_two_form(K3Config(2399, 4)).evaluate(m, n) == -1
+    assert m.bit_length() == n.bit_length() == 14779
+    assert cert.reasons == (
+        "a (-2)-class exists at (m, n) = (<14779-bit integer>, <14779-bit integer>)",)
+    assert cert.conclusion == CONCLUSION_FAILS
+
+
 def test_build_certificate_degenerate_discriminant():
     cert = build_certificate(10, -2)
     assert not cert.lemma21_ok and not cert.square_zero_free

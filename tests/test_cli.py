@@ -66,6 +66,27 @@ def test_check_out_of_domain_genus(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_check_huge_witness_2399_4(capsys):
+    # a 14,779-bit witness, past the int-to-str digit limit
+    assert main(["check", "--g", "2399", "--s", "4"]) == 1
+    out = capsys.readouterr().out
+    assert ("  minus_two = Witness(<14779-bit integer>, <14779-bit integer>) [pell_search]\n"
+            in out)
+    assert ("    reason: a (-2)-class exists at (m, n) = "
+            "(<14779-bit integer>, <14779-bit integer>)\n" in out)
+    # JSON carries the exact witness, which json.dumps refuses to write
+    assert main(["check", "--g", "2399", "--s", "4", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Exceeds the limit")
+
+
+def test_scan_huge_witness_2399_4(capsys):
+    assert main(["scan", "--g-min", "2399", "--g-max", "2399", "--s-min", "4", "--s-max", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "2399,4,2395,strong,true,true,pell_search,false,1199,2391/2,7/2,-27,hypotheses_fail"]
+
+
 def test_scan_csv_stdout_and_roundtrip(capsys):
     assert main(["scan", "--g-min", "12", "--g-max", "24", "--s-min", "-1", "--s-max", "2"]) == 0
     captured = capsys.readouterr()
@@ -156,6 +177,12 @@ def test_form_zero_target_none(capsys):
 def test_form_witness(capsys):
     assert main(["form", "--a", "3", "--b", "7", "--c", "3", "--target", "-1"]) == 0
     assert capsys.readouterr().out.strip() == "Witness(1, -1)"
+
+
+def test_form_huge_witness(capsys):
+    # the (-2) form of (g, s) = (2399, 4)
+    assert main(["form", "--a", "3", "--b", "2395", "--c", "2398", "--target", "-1"]) == 0
+    assert capsys.readouterr().out == "Witness(<14779-bit integer>, <14779-bit integer>)\n"
 
 
 def test_form_json(capsys):

@@ -12,8 +12,6 @@ from k3cert.clifford import (
     gamma,
     gamma1_max,
     gonality,
-    mercat_lower_bound,
-    roots_ab_checks,
     verify_clifford,
 )
 from k3cert.lattice import DivisorClass, K3Config, deg_C, pair
@@ -68,17 +66,6 @@ def test_gonality_examples():
         gonality(10, 0)
 
 
-def test_mercat_lower_bound_examples():
-    assert mercat_lower_bound(11) == Fraction(9, 2)
-    assert mercat_lower_bound(12) == 5
-    assert mercat_lower_bound(4) == 1
-
-
-def test_mercat_never_exceeds_gamma1():
-    for g in range(4, 501):
-        assert mercat_lower_bound(g) <= gamma1_max(g)
-
-
 # -- the objective and its constraints ----------------------------------------
 
 def test_f_value_examples():
@@ -105,33 +92,6 @@ def test_constraints_examples():
     assert constraints(K3Config(19, 1), 1, 0) == (True, True, True)
     assert constraints(K3Config(19, 1), 0, 0) == (False, False, True)
     assert constraints(K3Config(12, -1), -1, 1) == (True, True, True)
-
-
-# -- exact root bracketing ------------------------------------------------------
-
-def test_roots_ab_checks_examples():
-    assert roots_ab_checks(K3Config(19, 1)) == (True, True, True)
-    assert roots_ab_checks(K3Config(16, 1)) == (True, False, True)
-
-
-def test_roots_ab_checks_strong_sweep():
-    for s in range(-1, 7):
-        for g in range(max(4 * s + 14, 12), 201):
-            b_gt_1, b_lt_43, _ = roots_ab_checks(K3Config(g, s))
-            assert b_gt_1 and b_lt_43, (g, s)
-
-
-def test_roots_ab_checks_relaxed_sweep():
-    for s in range(1, 7):
-        b_gt_1, _, b_lt_32 = roots_ab_checks(K3Config(4 * s + 12, s))
-        assert b_gt_1 and b_lt_32, s
-
-
-def test_roots_ab_checks_rejects_degenerate():
-    with pytest.raises(ValueError):
-        roots_ab_checks(K3Config(10, -2))  # gap 36 is a perfect square
-    with pytest.raises(ValueError):
-        roots_ab_checks(K3Config(12, 1))  # gap negative
 
 
 # -- certified minimization vs brute force --------------------------------------

@@ -8,7 +8,6 @@ from k3cert.lattice import (
     H,
     DivisorClass,
     K3Config,
-    ample_obstruction_scan,
     deg_C,
     deg_H,
     minus_two_form,
@@ -114,21 +113,3 @@ def test_minus_two_witness_cases():
         assert dec.status is DecisionStatus.WITNESS, (g, s, dec)
         m, n = dec.witness
         assert pair(cfg, DivisorClass(m, n), DivisorClass(m, n)) == -2
-
-
-def test_ample_scan_clean_cases():
-    assert ample_obstruction_scan(K3Config(19, 1), 40) == []
-    assert ample_obstruction_scan(K3Config(12, -1), 40) == []
-
-
-def test_ample_scan_flags_boundary_class():
-    flagged = ample_obstruction_scan(K3Config(14, 1), 5)
-    assert flagged == [DivisorClass(-2, 1)]
-    cfg = K3Config(14, 1)
-    D = flagged[0]
-    assert deg_H(cfg, D) > 0 and pair(cfg, D, D) >= -2 and deg_C(cfg, D) <= 0
-
-
-def test_ample_scan_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        ample_obstruction_scan(K3Config(19, 1), 0)
