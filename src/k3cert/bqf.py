@@ -19,11 +19,16 @@ that a concrete witness can be read off and re-verified before it is
 returned.  For |t| in {1, 2} every representation is automatically
 primitive, which is what makes the decision complete.
 
-The cycle is walked once.  The transform of the walk is the product of
-one shear [[0, -1], [1, s]] per step; runs of _LEAF shears are multiplied
-into a leaf by a 4-tuple update, and the leaves into a balanced product
-tree (Bernstein, "Fast multiplication and its applications", 2008) kept
-as a binary-counter stack of O(log steps) partial products.  Its cost is
+The residue scan that runs before all of this is memoised on the
+coefficients and the target mod k, which is all its answer depends on.
+
+The cycle is walked once, and the walk only records its shears.  The
+transform of the walk is the product of one shear [[0, -1], [1, s]] per
+step, assembled from the recorded shears after a hit, so a walk that
+closes multiplies nothing: runs of _LEAF shears are multiplied into a leaf
+by a 4-tuple update, and the leaves into a balanced product tree
+(Bernstein, "Fast multiplication and its applications", 2008) kept as a
+binary-counter stack of O(log steps) partial products.  Its cost is
 near-linear in the witness size, where multiplying one shear at a time
 is quadratic.
 """
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Sequence
 
@@ -164,23 +170,28 @@ def modular_obstruction(f: QuadraticForm, t: int,
     """First modulus k for which Q(m, n) = t (mod k) has no solution, if any.
 
     Exhausts all residue pairs, so a returned modulus is a sound proof that
-    t is not represented over the integers.
+    t is not represented over the integers.  The answer for one k depends
+    only on the coefficients and t mod k, so it is memoised on those
+    residues: a scan of K3 cells meets at most 451 distinct keys over
+    DEFAULT_MODULI.
     """
     for k in moduli:
         if k < 2:
             raise ValueError(f"moduli must be >= 2, got {k}")
-        want = t % k
-        hit = False
-        for m in range(k):
-            for n in range(k):
-                if f.evaluate(m, n) % k == want:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
+        if not _residue_hit(k, f.a % k, f.b % k, f.c % k, t % k):
             return k
     return None
+
+
+@lru_cache(maxsize=4096)
+def _residue_hit(k: int, a: int, b: int, c: int, want: int) -> bool:
+    """True when a*m^2 + b*m*n + c*n^2 = want (mod k) for some residues m, n."""
+    for m in range(k):
+        am2, bm = a * m * m, b * m
+        for n in range(k):
+            if (am2 + (bm + c * n) * n) % k == want:
+                return True
+    return False
 
 
 def pell_fundamental(D: int) -> tuple[int, int]:
@@ -254,12 +265,13 @@ def _reduce(form: _Form, D: int, root: int) -> tuple[_Form, _Mat]:
 
     The number of rho steps is logarithmic in |c| / sqrt(D) (Buchmann &
     Vollmer, *Binary Quadratic Forms*, 2007, ch. 6), so the loop needs no cap."""
-    m = _IDENTITY
+    p, q, r, t = _IDENTITY
     current = form
     while not _is_reduced(current, D, root):
         current, s = _rho(current, D, root)
-        m = _matmul(m, (0, -1, 1, s))
-    return current, m
+        # times the shear [[0, -1], [1, s]], as in _leaf_product
+        p, q, r, t = q, s * q - p, t, s * t - r
+    return current, (p, q, r, t)
 
 
 # Shears per leaf of the product tree.  A leaf is built by a 4-tuple update
@@ -295,39 +307,43 @@ def _fold(stack: list[tuple[int, _Mat]], last: _Mat) -> _Mat:
     return last
 
 
+def _shear_product(shears: Sequence[int]) -> _Mat:
+    """The product of the shears [[0, -1], [1, s]] in order: full leaves of
+    _LEAF through the binary-counter stack, then the last, open leaf of 1 to
+    _LEAF shears."""
+    stack: list[tuple[int, _Mat]] = []
+    full = (len(shears) - 1) // _LEAF * _LEAF
+    for i in range(0, full, _LEAF):
+        _push_leaf(stack, _leaf_product(shears[i:i + _LEAF]))
+    return _fold(stack, _leaf_product(shears[full:]))
+
+
 def _cycle_hit(start: _Form, targets: dict[_Form, _Mat],
                D: int, root: int) -> tuple[_Form, _Mat] | None:
     """Walk the reduction cycle of `start` once.
 
     Returns the first target form met and the transform that takes `start`
-    to it, or None once the walk is back at `start` without a hit.  The
-    transform is assembled as the walk goes: shears in leaves of _LEAF,
-    leaves in a balanced product tree kept on a binary-counter stack."""
+    to it, or None once the walk is back at `start` without a hit.  The walk
+    only records its shears; the transform is assembled from them after a
+    hit (_shear_product), so a walk that closes multiplies nothing."""
     if start in targets:
         return start, _IDENTITY
     target_bs = {form[1] for form in targets}
     a0, b0, _ = start
     _, b, c = start
-    stack: list[tuple[int, _Mat]] = []
+    shears: list[int] = []
+    record = shears.append
     while True:
-        shears = []
-        for _ in range(_LEAF):
-            # _rho, inlined: this loop is the cost of every open cell
-            ac = abs(c)
-            if ac > root:
-                bp = (-b) % (2 * ac)
-                if bp > ac:
-                    bp -= 2 * ac
-            else:
-                bp = root - ((root + b) % (2 * ac))
-            shears.append((b + bp) // (2 * c))
-            a, b, c = c, bp, (bp * bp - D) // (4 * c)
-            if b in target_bs and (a, b, c) in targets:
-                return (a, b, c), _fold(stack, _leaf_product(shears))
-            # ends: rho permutes the finite set of reduced forms of discriminant D (B&V ch. 6)
-            if b == b0 and a == a0:
-                return None
-        _push_leaf(stack, _leaf_product(shears))
+        # _rho, inlined: this loop is the cost of every open cell.  Every form
+        # here is reduced, so |c| < sqrt(D) and _rho's |c| > root branch never runs.
+        bp = root - ((root + b) % (2 * abs(c)))
+        record((b + bp) // (2 * c))
+        a, b, c = c, bp, (bp * bp - D) // (4 * c)
+        if b in target_bs and (a, b, c) in targets:
+            return (a, b, c), _shear_product(shears)
+        # ends: rho permutes the finite set of reduced forms of discriminant D (B&V ch. 6)
+        if b == b0 and a == a0:
+            return None
 
 
 def _character_fails(form: _Form, t: int, p: int) -> bool:
@@ -363,16 +379,16 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
 
     Requires |t| in {1, 2}; any representation of such a target is
     primitive since gcd(m, n)^2 divides t.  A cheap residue scan over
-    DEFAULT_MODULI runs first and may certify an obstruction for any form;
-    the complete proper-equivalence path additionally requires
-    discriminant(f) > 0 and nonsquare, and settles the question either
-    way.  A genus character at an odd prime p < 1000 dividing D that f
-    fails proves that t is not represented.  Otherwise f and each form
-    (t, B, C) are reduced, and one walk of f's cycle either meets a reduced
-    target, whose transform the walk has assembled in a streaming product
-    tree, or comes back to its start, which proves that t is not
-    represented.  Returned witnesses are re-evaluated before being handed
-    back.
+    DEFAULT_MODULI, memoised on residues, runs first and may certify an
+    obstruction for any form; the complete proper-equivalence path
+    additionally requires discriminant(f) > 0 and nonsquare, and settles
+    the question either way.  A genus character at an odd prime p < 1000
+    dividing D that f fails proves that t is not represented.  Otherwise f
+    and each form (t, B, C) are reduced, and one walk of f's cycle either
+    meets a reduced target, whose transform is then assembled from the
+    walk's recorded shears in a balanced product tree, or comes back to its
+    start, which proves that t is not represented.  Returned witnesses are
+    re-evaluated before being handed back.
     """
     if t == 0:
         raise ValueError("target 0 is decided by represents_zero_nontrivially")

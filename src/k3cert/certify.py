@@ -55,12 +55,13 @@ def expected_dim_bn24(g: int, s: int) -> int:
 
 
 def gap_lower_bound(g: int, s: int) -> Fraction:
-    """floor((g-1)/2) - ((g-s)/2 - 2) as an exact rational; strictly positive
-    whenever s >= -1."""
-    gap = Fraction((g - 1) // 2) - (Fraction(g - s, 2) - 2)
-    if s >= -1 and gap <= 0:
-        raise AssertionError(f"gap bound must be positive for s >= -1, got {gap}")
-    return gap
+    """floor((g-1)/2) - ((g-s)/2 - 2), which is gamma1 - gamma_E, as an exact
+    rational; strictly positive whenever s >= -1."""
+    twice_gap = 2 * ((g - 1) // 2) - (g - s) + 4
+    if s >= -1 and twice_gap <= 0:
+        raise AssertionError(
+            f"gap bound must be positive for s >= -1, got {Fraction(twice_gap, 2)}")
+    return Fraction(twice_gap, 2)
 
 
 def decide_conclusion(regime: str, lemma21_ok: bool, square_zero_free: bool,
@@ -150,7 +151,7 @@ def build_certificate(g: int, s: int) -> Certificate:
         clifford=clifford,
         gamma1=gamma1,
         gamma_E=gamma_E,
-        gap_lower_bound=Fraction(gamma1) - gamma_E,
+        gap_lower_bound=gap_lower_bound(g, s),
         expected_dim=expected_dim_bn24(g, s),
         lemma31_square=2 * s + 4,
         h0_H_restricted=5,

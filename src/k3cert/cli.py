@@ -18,8 +18,9 @@ import argparse
 import csv
 import io
 import json
+import operator
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .bqf import QuadraticForm, RepDecision, represents, zero_witness
@@ -82,12 +83,16 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
+_csv_values = operator.attrgetter(*CSV_COLUMNS)
+
+
 def rows_to_csv(rows: list[ScanRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_csv_cell(getattr(row, name)) for name in CSV_COLUMNS])
+    # identity tests, not a dict or ==: 1 == True and both hash alike
+    writer.writerows(["true" if v is True else "false" if v is False else v
+                      for v in _csv_values(row)] for row in rows)
     return buf.getvalue()
 
 
@@ -206,10 +211,15 @@ def run_scan(g_min: int, g_max: int, s_min: int, s_max: int) -> list[ScanRow]:
             for g, s in scan_cells(g_min, g_max, s_min, s_max)]
 
 
+def _gap_value(row: ScanRow) -> Fraction:
+    num, den = row.gap.split("/")
+    return Fraction(int(num), int(den))
+
+
 def scan_summary(rows: list[ScanRow]) -> dict:
     applies = sum(1 for r in rows if r.conclusion == CONCLUSION_APPLIES)
     # max keeps the first of equal gaps, so ties go to the earliest row
-    max_at = max(rows, key=lambda r: Fraction(r.gap), default=None)
+    max_at = max(rows, key=_gap_value, default=None)
     return {
         "cells": len(rows),
         "theorem_applies": applies,
@@ -247,7 +257,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rows = run_scan(args.g_min, args.g_max, args.s_min, args.s_max)
     summary = scan_summary(rows)
     if args.format == "json":
-        payload = {"rows": [asdict(r) for r in rows], "summary": summary}
+        # the same dicts as dataclasses.asdict, whose deep copy of each
+        # scalar field cost about as much as building the rows
+        payload = {"rows": [dict(zip(CSV_COLUMNS, _csv_values(r))) for r in rows],
+                   "summary": summary}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _emit(rows_to_csv(rows), args.out)
@@ -278,10 +291,21 @@ def cmd_form(args: argparse.Namespace) -> int:
         payload = decision_to_dict(dec)
         text = dec.describe()
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json_exact(payload))
     else:
         sys.stdout.write(text + "\n")
     return 0
+
+
+def _json_exact(payload: dict) -> str:
+    """json.dumps with the int-to-str digit limit lifted for this one write,
+    so that a witness past the limit is written as exact decimals."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def build_parser() -> argparse.ArgumentParser:

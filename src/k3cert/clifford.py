@@ -135,7 +135,7 @@ def verify_clifford(cfg: K3Config) -> CliffordReport:
         return CliffordReport(None, None, 0, 0, target, True)
     bound_n = _floor_div_sqrt(d - 2, gap) + 1
     best_val: int | None = None
-    best_at: DivisorClass | None = None
+    best_m = best_n = 0
     region = 0
     for n in range(-bound_n, bound_n + 1):
         nd = n * d
@@ -145,10 +145,14 @@ def verify_clifford(cfg: K3Config) -> CliffordReport:
         if m_lo > m_hi:
             continue
         region += m_hi - m_lo + 1
+        # f_value with the slice's linear and constant terms hoisted
+        f_lin = (1 - 2 * n) * d
+        f_const = (n - n * n) * (2 * g - 2) - 2
         for m in (m_lo, m_hi):
-            v = f_value(cfg, m, n)
+            v = (f_lin - 6 * m) * m + f_const
             if best_val is None or v < best_val:
-                best_val, best_at = v, DivisorClass(m, n)
+                best_val, best_m, best_n = v, m, n
+    best_at = DivisorClass(best_m, best_n) if best_val is not None else None
     passed = best_val is None or best_val >= target
     return CliffordReport(best_val, best_at, region, bound_n, target, passed)
 

@@ -126,6 +126,39 @@ def test_modular_obstruction_sound(a, b, c, t):
         assert brute_find(f, t, 25) is None
 
 
+def _plain_obstruction(a: int, b: int, c: int, t: int, moduli):
+    # independent reference: the unmemoised double loop over residue pairs
+    for k in moduli:
+        for m in range(k):
+            for n in range(k):
+                if (a * m * m + b * m * n + c * n * n - t) % k == 0:
+                    break
+            else:
+                continue
+            break
+        else:
+            return k
+    return None
+
+
+def test_memoised_residue_test_matches_plain_double_loop():
+    queries = [(QuadraticForm(a, b, c), t)
+               for a in range(-9, 10) for b in range(-9, 10) for c in range(-9, 10)
+               for t in range(-2, 3)]
+    for moduli in (DEFAULT_MODULI, (7,), (16, 3), (5, 7, 11)):
+        expected = [_plain_obstruction(f.a, f.b, f.c, t, moduli) for f, t in queries]
+        bqf._residue_hit.cache_clear()
+        for _ in ("cold", "warm"):
+            assert [modular_obstruction(f, t, moduli) for f, t in queries] == expected, moduli
+    assert bqf._residue_hit.cache_info().hits > 0
+    assert bqf._residue_hit.cache_info().maxsize is not None
+    # the warm cache does not skip the modulus check, in the given order
+    f = QuadraticForm(1, 1, 1)
+    for moduli in ((3, 1), (0,), (-4,)):
+        with pytest.raises(ValueError):
+            modular_obstruction(f, 1, moduli)
+
+
 # -- Pell fundamental solutions -----------------------------------------------
 
 def test_pell_examples():
@@ -420,6 +453,30 @@ def test_streaming_shear_product_matches_sequential_fold():
     for n in lengths:
         shears = [rng.randint(-40, 40) for _ in range(n)]
         assert _streamed_shear_product(shears) == _sequential_shear_product(shears), n
+        # the walk's product of its recorded shears, built only after a hit
+        assert bqf._shear_product(shears) == _sequential_shear_product(shears), n
+
+
+def test_closed_walk_builds_no_product(monkeypatch):
+    # (81, 2): D = 5281, a 66-step cycle without a target, which neither the
+    # residue scan nor a genus character settles
+    f = _minus_two_form(81, 2)
+    D = f.discriminant()
+    root = isqrt(D)
+    start, _ = bqf._reduce((f.a, f.b, f.c), D, root)
+    current, steps = bqf._rho(start, D, root)[0], 1
+    while current != start:
+        current, steps = bqf._rho(current, D, root)[0], steps + 1
+    assert (D, steps) == (5281, 66) and steps > 2 * bqf._LEAF
+    assert _hit_step(f, -1) is None
+    assert modular_obstruction(f, -1) is None
+    assert not bqf._genus_obstructed((f.a, f.b, f.c), -1, D)
+
+    def fail(*args):
+        pytest.fail("a closed walk multiplied matrices")
+    monkeypatch.setattr(bqf, "_leaf_product", fail)
+    monkeypatch.setattr(bqf, "_matmul", fail)
+    assert represents(f, -1).status is DecisionStatus.NONE_PROVED
 
 
 def test_represents_hard_cell_100135_2():
@@ -442,6 +499,26 @@ def _small_indefinite_forms():
                 D = b * b - 4 * a * c
                 if D > 0 and isqrt(D) ** 2 != D:
                     yield (a, b, c), D
+
+
+def test_cycle_forms_stay_within_the_root():
+    # every form of a reduction cycle has |a|, |c| <= isqrt(D), which is why
+    # the walk's inlined rho drops _rho's |c| > root branch
+    seen: set[tuple[int, int, int]] = set()
+    for form, D in _small_indefinite_forms():
+        root = isqrt(D)
+        start, _ = bqf._reduce(form, D, root)
+        if start in seen:
+            continue
+        current = start
+        while True:
+            seen.add(current)
+            a, _, c = current
+            assert abs(a) <= root and abs(c) <= root, (form, current)
+            current, _ = bqf._rho(current, D, root)
+            if current == start:
+                break
+    assert len(seen) > 1000
 
 
 def test_genus_primes_match_sieve():

@@ -185,6 +185,24 @@ def test_form_huge_witness(capsys):
     assert capsys.readouterr().out == "Witness(<14779-bit integer>, <14779-bit integer>)\n"
 
 
+def test_form_json_huge_witness(capsys):
+    # the (-2) form of (2399, 4): JSON carries the exact 14,779-bit witness
+    limit = sys.get_int_max_str_digits()
+    assert main(["form", "--a", "3", "--b", "2395", "--c", "2398", "--target", "-1",
+                 "--format", "json"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert payload["status"] == "witness" and payload["method"] == "pell_search"
+    m, n = payload["m"], payload["n"]
+    assert abs(m).bit_length() == abs(n).bit_length() == 14779
+    assert 3 * m * m + 2395 * m * n + 2398 * n * n == -1
+
+
 def test_form_json(capsys):
     assert main(["form", "--a", "3", "--b", "7", "--c", "3", "--target", "-1",
                  "--format", "json"]) == 0

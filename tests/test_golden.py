@@ -1,0 +1,64 @@
+"""Golden output digests: the SHA-256 of the exact bytes the CLI writes for
+a fixed scan and a fixed band of checks, so that a change meant to keep the
+output (a speed-up, a refactor) is shown byte-identical inside the suite.
+
+Re-record a digest only when the output is meant to change, and say so in
+CHANGES.md.  To print the current digests:
+
+    PYTHONPATH=src python -c "import tests.test_golden as t; t.print_digests()"
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from k3cert.cli import main
+
+SCAN = ["scan", "--g-min", "12", "--g-max", "600", "--s-min", "-1", "--s-max", "10"]
+CHECK_CELLS = [(g, s) for g in range(12, 81) for s in range(-1, 11)]
+
+CASES = {
+    "scan-csv": [SCAN],
+    "scan-json": [SCAN + ["--format", "json"]],
+    "check-json": [["check", "--g", str(g), "--s", str(s), "--format", "json"]
+                   for g, s in CHECK_CELLS],
+}
+
+# (stdout, stderr, exit codes), each as a SHA-256 hex digest; the exit codes
+# are hashed as one comma-separated line.
+GOLDEN = {
+    "scan-csv": ("52faa73238ba14d331ec6666f52934f6ecdaa6c312343da0f1a1ff3d95b50ab7",
+                 "187470442d10277c9adc8cd17e0f307216c04fc50d60db539b8f8e53331e8cf1",
+                 "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    "scan-json": ("abf0046c409455990033f24ec8f09648e048c74c90af9b98f34a7c6b9cfcfc6a",
+                  "187470442d10277c9adc8cd17e0f307216c04fc50d60db539b8f8e53331e8cf1",
+                  "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    "check-json": ("b63aa951e670166d0efbe8dc2ffc6ba73d1b4b145dd9d0504ed255aa92c0762d",
+                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                   "2ba65e217cb89f2018ec1f7eb196cddb317f614da765a7538365aa7a22bf7937"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def digests(name: str) -> tuple[str, str, str]:
+    """Run the calls of one case in this process; digest what they wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        codes = [main(argv) for argv in CASES[name]]
+    return (_sha256(out.getvalue()), _sha256(err.getvalue()),
+            _sha256(",".join(map(str, codes))))
+
+
+def print_digests() -> None:
+    for name in CASES:
+        print(f"    {name!r}: {digests(name)!r},")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_digest(name):
+    assert digests(name) == GOLDEN[name]
