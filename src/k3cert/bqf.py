@@ -22,15 +22,13 @@ primitive, which is what makes the decision complete.
 The residue scan that runs before all of this is memoised on the
 coefficients and the target mod k, which is all its answer depends on.
 
-The cycle is walked once, and the walk only records its shears.  The
-transform of the walk is the product of one shear [[0, -1], [1, s]] per
-step, assembled from the recorded shears after a hit, so a walk that
-closes multiplies nothing: runs of _LEAF shears are multiplied into a leaf
-by a 4-tuple update, and the leaves into a balanced product tree
-(Bernstein, "Fast multiplication and its applications", 2008) kept as a
-binary-counter stack of O(log steps) partial products.  Its cost is
-near-linear in the witness size, where multiplying one shear at a time
-is quadratic.
+The cycle is walked once, one division per step, and the walk only records
+its quotients, so a walk that closes multiplies nothing.  After a hit, the
+walk's transform, one shear [[0, -1], [1, s]] per step, is assembled in a
+balanced product tree (Bernstein, "Fast multiplication and its
+applications", 2008) whose right spine is applied to a column vector, as
+only the witness is needed: near-linear in the witness size, where
+multiplying one shear at a time is quadratic.
 """
 
 from __future__ import annotations
@@ -227,11 +225,6 @@ def _matmul(x: _Mat, y: _Mat) -> _Mat:
             x[2] * y[1] + x[3] * y[3])
 
 
-def _inverse(m: _Mat) -> _Mat:
-    # determinant is +1 for every transform we build
-    return (m[3], -m[1], -m[2], m[0])
-
-
 def _is_reduced(form: _Form, D: int, root: int) -> bool:
     # reduced <=> |sqrt(D) - 2|a|| < b < sqrt(D), decided by exact squarings
     a, b, _ = form
@@ -274,8 +267,8 @@ def _reduce(form: _Form, D: int, root: int) -> tuple[_Form, _Mat]:
     return current, (p, q, r, t)
 
 
-# Shears per leaf of the product tree.  A leaf is built by a 4-tuple update
-# per step, which is cheaper than a 2x2 product while its entries are small.
+# Shears per leaf of the product tree.  A leaf is built by direct update,
+# which is cheaper than a 2x2 product while its entries are small.
 _LEAF = 32
 
 
@@ -283,67 +276,69 @@ def _leaf_product(shears: Sequence[int]) -> _Mat:
     """The product of the shears [[0, -1], [1, s]] in order, by direct update."""
     p, q, r, t = _IDENTITY
     for s in shears:
-        p, q, r, t = q, s * q - p, t, s * t - r
+        p, q = q, s * q - p
+        r, t = t, s * t - r
     return p, q, r, t
 
 
-def _push_leaf(stack: list[tuple[int, _Mat]], leaf: _Mat) -> None:
-    """Append a leaf to a binary-counter stack of (leaf count, product) pairs.
-
-    Partial products of equal leaf counts are merged as they meet, so the
-    product tree stays balanced, the counts on the stack strictly decrease
-    and the stack holds O(log leaves) entries."""
-    size = 1
-    while stack and stack[-1][0] == size:
-        leaf = _matmul(stack.pop()[1], leaf)
-        size *= 2
-    stack.append((size, leaf))
+def _product(shears: Sequence[int]) -> _Mat:
+    """The product of the shears [[0, -1], [1, s]] in order, as a balanced
+    product tree over leaves of _LEAF shears (the last one 1 to _LEAF)."""
+    if len(shears) <= _LEAF:
+        return _leaf_product(shears)
+    mid = -(-len(shears) // _LEAF) // 2 * _LEAF  # half of the leaves
+    return _matmul(_product(shears[:mid]), _product(shears[mid:]))
 
 
-def _fold(stack: list[tuple[int, _Mat]], last: _Mat) -> _Mat:
-    """The product of the stack's entries, oldest first, times `last`."""
-    for _, m in reversed(stack):
-        last = _matmul(m, last)
-    return last
-
-
-def _shear_product(shears: Sequence[int]) -> _Mat:
-    """The product of the shears [[0, -1], [1, s]] in order: full leaves of
-    _LEAF through the binary-counter stack, then the last, open leaf of 1 to
-    _LEAF shears."""
-    stack: list[tuple[int, _Mat]] = []
-    full = (len(shears) - 1) // _LEAF * _LEAF
-    for i in range(0, full, _LEAF):
-        _push_leaf(stack, _leaf_product(shears[i:i + _LEAF]))
-    return _fold(stack, _leaf_product(shears[full:]))
+def _apply(shears: Sequence[int], v: tuple[int, int]) -> tuple[int, int]:
+    """The product of the shears in order times the column vector v: the
+    right half is applied to v first, so along the right spine of the
+    product tree only a vector is formed."""
+    if len(shears) <= _LEAF:
+        p, q, r, t = _leaf_product(shears)
+    else:
+        mid = -(-len(shears) // _LEAF) // 2 * _LEAF
+        v = _apply(shears[mid:], v)
+        p, q, r, t = _product(shears[:mid])
+    x, y = v
+    return p * x + q * y, r * x + t * y
 
 
 def _cycle_hit(start: _Form, targets: dict[_Form, _Mat],
-               D: int, root: int) -> tuple[_Form, _Mat] | None:
-    """Walk the reduction cycle of `start` once.
+               root: int) -> tuple[_Form, list[int]] | None:
+    """Walk the reduction cycle of `start` once: the first target form met
+    and the shears s of the steps [[0, -1], [1, s]] that take `start` to it,
+    or None once the walk is back at `start` without a hit.
 
-    Returns the first target form met and the transform that takes `start`
-    to it, or None once the walk is back at `start` without a hit.  The walk
-    only records its shears; the transform is assembled from them after a
-    hit (_shear_product), so a walk that closes multiplies nothing."""
+    A reduced form (a, b, c) has ac < 0 and rho takes it to (c, b', c'), so
+    the sign of a alternates.  The walk carries (A, b, C) = (2|a|, b, 2|c|):
+    with q = (root + b) // C, rho gives b' = Cq - b, C' = A - q(b' - b) and
+    the shear sign(c)*q.  It records q, rebuilds the signed form only where
+    b' is that of a target or of `start`, and signs the shears after a hit."""
     if start in targets:
-        return start, _IDENTITY
-    target_bs = {form[1] for form in targets}
-    a0, b0, _ = start
-    _, b, c = start
-    shears: list[int] = []
-    record = shears.append
+        return start, []
+    a0, b0, c0 = start
+    stops = {form[1] for form in targets} | {b0}
+    sign = 1 if a0 > 0 else -1  # the sign of a after an even number of steps
+    A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
+    quotients: list[int] = []
+    record = quotients.append
     while True:
-        # _rho, inlined: this loop is the cost of every open cell.  Every form
-        # here is reduced, so |c| < sqrt(D) and _rho's |c| > root branch never runs.
-        bp = root - ((root + b) % (2 * abs(c)))
-        record((b + bp) // (2 * c))
-        a, b, c = c, bp, (bp * bp - D) // (4 * c)
-        if b in target_bs and (a, b, c) in targets:
-            return (a, b, c), _shear_product(shears)
-        # ends: rho permutes the finite set of reduced forms of discriminant D (B&V ch. 6)
-        if b == b0 and a == a0:
-            return None
+        q = (root + b) // C
+        record(q)
+        bp = C * q - b
+        A, b, C = C, bp, A - q * (bp - b)
+        if b in stops:
+            u = -sign if len(quotients) % 2 else sign
+            form = (u * (A >> 1), b, -u * (C >> 1))
+            if form in targets:
+                # sign(c) at step i is -sign * (-1)^i
+                first = 0 if sign > 0 else 1
+                quotients[first::2] = [-q for q in quotients[first::2]]
+                return form, quotients
+            # ends: rho permutes the finite set of reduced forms of discriminant D (B&V ch. 6)
+            if form == start:
+                return None
 
 
 def _character_fails(form: _Form, t: int, p: int) -> bool:
@@ -385,10 +380,10 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     the question either way.  A genus character at an odd prime p < 1000
     dividing D that f fails proves that t is not represented.  Otherwise f
     and each form (t, B, C) are reduced, and one walk of f's cycle either
-    meets a reduced target, whose transform is then assembled from the
-    walk's recorded shears in a balanced product tree, or comes back to its
-    start, which proves that t is not represented.  Returned witnesses are
-    re-evaluated before being handed back.
+    meets a reduced target, whose witness is then assembled from the walk's
+    shears in a balanced product tree applied to a vector, or comes back to
+    its start, which proves that t is not represented.  Returned witnesses
+    are re-checked exactly before being handed back.
     """
     if t == 0:
         raise ValueError("target 0 is decided by represents_zero_nontrivially")
@@ -418,12 +413,17 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
             C = (B * B - D) // four_t
             g_red, m_g = _reduce((t, B, C), D, root)
             targets.setdefault(g_red, m_g)
-    found = _cycle_hit(f_red, targets, D, root) if targets else None
-    if found is not None:
-        hit, m_cycle = found
-        w = _matmul(_matmul(m_f, m_cycle), _inverse(targets[hit]))
-        m, n = w[0], w[2]
-        if f.evaluate(m, n) != t:
-            raise RuntimeError("internal error: extracted witness failed re-evaluation")
-        return RepDecision.witness_of(m, n)
-    return RepDecision.none_proved()
+    found = _cycle_hit(f_red, targets, root) if targets else None
+    if found is None:
+        return RepDecision.none_proved()
+    hit, shears = found
+    m_g = targets[hit]
+    # the first column of m_f * m_cycle * inverse(m_g)
+    x, y = _apply(shears, (m_g[3], -m_g[2]))
+    p, q, r, s = m_f
+    m, n = p * x + q * y, r * x + s * y
+    # 4a*Q(m, n) = (2am + bn)^2 - D*n^2, and a != 0 since D is not a square
+    a = f.a
+    if (2 * a * m + f.b * n) ** 2 - D * (n * n) != 4 * a * t:
+        raise RuntimeError("internal error: extracted witness failed re-evaluation")
+    return RepDecision.witness_of(m, n)

@@ -228,6 +228,23 @@ def scan_summary(rows: list[ScanRow]) -> dict:
     }
 
 
+def scan_json(rows: list[ScanRow], summary: dict) -> str:
+    """The text of json.dumps({"rows": ..., "summary": summary}, indent=2),
+    with one row dict per ScanRow.
+
+    json.dumps runs its pure-Python encoder whenever it indents, so each
+    row, whose values are all scalars, goes through the C encoder instead,
+    with the newline and indent of its nesting level as the item separator."""
+    encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+    # the same dicts as dataclasses.asdict, whose deep copy of each
+    # scalar field cost about as much as building the rows
+    body = ",\n".join("    {\n      " + encode(dict(zip(CSV_COLUMNS, _csv_values(r))))[1:-1]
+                      + "\n    }" for r in rows)
+    summary_text = json.dumps(summary, indent=2).replace("\n", "\n  ")
+    return ('{\n  "rows": ' + (f"[\n{body}\n  ]" if rows else "[]")
+            + ',\n  "summary": ' + summary_text + "\n}\n")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -257,11 +274,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rows = run_scan(args.g_min, args.g_max, args.s_min, args.s_max)
     summary = scan_summary(rows)
     if args.format == "json":
-        # the same dicts as dataclasses.asdict, whose deep copy of each
-        # scalar field cost about as much as building the rows
-        payload = {"rows": [dict(zip(CSV_COLUMNS, _csv_values(r))) for r in rows],
-                   "summary": summary}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(scan_json(rows, summary), args.out)
     else:
         _emit(rows_to_csv(rows), args.out)
     print(f"scan: {summary['cells']} cells, {summary['theorem_applies']} theorem_applies, "

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from functools import reduce
 from math import isqrt
 
@@ -330,23 +331,71 @@ def test_represents_complete_vs_brute(a, b, c, t):
         assert found is None, (f, t, found, dec)
 
 
-# -- one-pass cycle walk and streaming witness assembly ------------------------
+# -- one-pass cycle walk and product-tree witness assembly ---------------------
+
+def _walk_setup(f: QuadraticForm, t: int):
+    """The reduced start, the reduced targets (t, B, C) with their transforms,
+    D and isqrt(D), as represents builds them."""
+    D = f.discriminant()
+    root = isqrt(D)
+    start, _ = bqf._reduce((f.a, f.b, f.c), D, root)
+    targets = {}
+    for B in range(2 * abs(t)):
+        if (B * B - D) % (4 * t) == 0:
+            g_red, m_g = bqf._reduce((t, B, (B * B - D) // (4 * t)), D, root)
+            targets.setdefault(g_red, m_g)
+    return start, targets, D, root
+
+
+def _rho_walk(start, targets, D: int, root: int):
+    """Independent reference walk, one plain rho step at a time: the first
+    target met and the signed shears of the steps, or None when the walk
+    comes back to `start`."""
+    current, shears = start, []
+    while current not in targets:
+        current, s = bqf._rho(current, D, root)
+        shears.append(s)
+        if current == start:
+            return None
+    return current, shears
+
 
 def _hit_step(f: QuadraticForm, t: int):
     """Steps of rho from reduced f to the first reduced form properly
     equivalent to some (t, B, C), counted by a plain walk; None without a hit."""
-    D = f.discriminant()
-    root = isqrt(D)
-    start, _ = bqf._reduce((f.a, f.b, f.c), D, root)
-    targets = {bqf._reduce((t, B, (B * B - D) // (4 * t)), D, root)[0]
-               for B in range(2 * abs(t)) if (B * B - D) % (4 * t) == 0}
-    current, steps = start, 0
-    while current not in targets:
-        current, _ = bqf._rho(current, D, root)
-        steps += 1
-        if current == start:
-            return None
+    found = _rho_walk(*_walk_setup(f, t))
+    return None if found is None else len(found[1])
+
+
+def _cycle_length(start, D: int, root: int) -> int:
+    current, steps = bqf._rho(start, D, root)[0], 1
+    while current != start:
+        current, steps = bqf._rho(current, D, root)[0], steps + 1
     return steps
+
+
+def _bounded_cycle_hit(start, targets, root: int, steps: int):
+    """bqf._cycle_hit, failed once it has run more than 16 lines per rho step
+    of `steps` (plus slack), so that a walk that misses its end fails
+    instead of running on."""
+    budget = 16 * (steps + 4)
+
+    def local(frame, event, arg):
+        nonlocal budget
+        budget -= event == "line"
+        if budget < 0:
+            pytest.fail(f"the walk ran past {steps} steps")
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is bqf._cycle_hit.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        return bqf._cycle_hit(start, targets, root)
+    finally:
+        sys.settrace(previous)
 
 
 # Recorded from the two-pass walk with sequential products that preceded the
@@ -431,52 +480,66 @@ def _sequential_shear_product(shears):
     return reduce(matmul, [(0, -1, 1, s) for s in shears], (1, 0, 0, 1))
 
 
-def _streamed_shear_product(shears):
-    # leaves of _LEAF shears through the binary-counter stack, as the walk does
-    L = bqf._LEAF
-    full = len(shears) // L * L
-    stack = []
-    for i in range(0, full, L):
-        bqf._push_leaf(stack, bqf._leaf_product(shears[i:i + L]))
-        leaves = i // L + 1
-        # balanced: the leaf counts on the stack are the binary digits of `leaves`
-        assert [size for size, _ in stack] == [
-            1 << k for k in reversed(range(leaves.bit_length())) if leaves >> k & 1]
-    return bqf._fold(stack, bqf._leaf_product(shears[full:]))
-
-
-def test_streaming_shear_product_matches_sequential_fold():
+def test_shear_product_tree_matches_sequential_fold():
     L = bqf._LEAF
     lengths = [0, 1, L - 1, L, L + 1]
     lengths += [(1 << k) * L + e for k in range(1, 5) for e in (-1, 1)]
     rng = random.Random(4)
     for n in lengths:
         shears = [rng.randint(-40, 40) for _ in range(n)]
-        assert _streamed_shear_product(shears) == _sequential_shear_product(shears), n
-        # the walk's product of its recorded shears, built only after a hit
-        assert bqf._shear_product(shears) == _sequential_shear_product(shears), n
+        p, q, r, t = _sequential_shear_product(shears)
+        assert bqf._product(shears) == (p, q, r, t), n
+        # the right spine applied to a column vector
+        x, y = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        assert bqf._apply(shears, (x, y)) == (p * x + q * y, r * x + t * y), n
+
+
+def test_cycle_walk_matches_plain_rho_walk():
+    # the walk on doubled magnitudes meets the same form after the same
+    # signed shears as plain rho steps, and closes where they close
+    seen, outcomes = set(), set()
+    for form, _ in _small_indefinite_forms():
+        for t in (-2, -1, 1, 2):
+            start, targets, D, root = _walk_setup(QuadraticForm(*form), t)
+            if not targets or (start, t) in seen:
+                continue
+            seen.add((start, t))
+            expected = _rho_walk(start, targets, D, root)
+            found = _bounded_cycle_hit(start, targets, root, _cycle_length(start, D, root))
+            assert found == expected, (start, t)
+            if expected is None or expected[1]:
+                outcomes.add((start[2] > 0, expected is None))
+    # starts with c > 0 and with c < 0, each with hits and closed walks
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_closed_walk_builds_no_product(monkeypatch):
     # (81, 2): D = 5281, a 66-step cycle without a target, which neither the
     # residue scan nor a genus character settles
     f = _minus_two_form(81, 2)
-    D = f.discriminant()
-    root = isqrt(D)
-    start, _ = bqf._reduce((f.a, f.b, f.c), D, root)
-    current, steps = bqf._rho(start, D, root)[0], 1
-    while current != start:
-        current, steps = bqf._rho(current, D, root)[0], steps + 1
+    start, targets, D, root = _walk_setup(f, -1)
+    steps = _cycle_length(start, D, root)
     assert (D, steps) == (5281, 66) and steps > 2 * bqf._LEAF
     assert _hit_step(f, -1) is None
     assert modular_obstruction(f, -1) is None
     assert not bqf._genus_obstructed((f.a, f.b, f.c), -1, D)
+    assert _bounded_cycle_hit(start, targets, root, steps) is None
 
-    def fail(*args):
-        pytest.fail("a closed walk multiplied matrices")
-    monkeypatch.setattr(bqf, "_leaf_product", fail)
-    monkeypatch.setattr(bqf, "_matmul", fail)
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+    monkeypatch.setattr(bqf, "_leaf_product", counted(bqf._leaf_product))
+    monkeypatch.setattr(bqf, "_matmul", counted(bqf._matmul))
+    # a hit 129 steps in goes through both
+    assert represents(_minus_two_form(420, -1), -1).witness == PINNED_CELLS[-2][2]
+    assert {"_leaf_product", "_matmul"} <= set(calls)
+    calls.clear()
     assert represents(f, -1).status is DecisionStatus.NONE_PROVED
+    assert calls == []
 
 
 def test_represents_hard_cell_100135_2():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from k3cert.cli import (
     main,
     rows_from_csv,
     run_scan,
+    scan_json,
     scan_row,
     scan_summary,
 )
@@ -129,6 +131,18 @@ def test_scan_json_payload(capsys):
     assert summary["cells"] == 3
     assert summary["theorem_applies"] >= 1
     assert "/" in summary["max_gap"]
+
+
+@pytest.mark.parametrize("band", [(5, 9, -1, 3), (12, 40, -1, 10)], ids=["empty", "witness"])
+def test_scan_json_matches_indented_dumps(band):
+    rows = run_scan(*band)
+    # the empty scan, and a band with witness rows ((14, 1) among them)
+    decisions = [build_certificate(r.g, r.s).minus_two for r in rows]
+    witnesses = [dec for dec in decisions if dec is not None and dec.witness]
+    assert bool(witnesses) is bool(rows)
+    summary = scan_summary(rows)
+    payload = {"rows": [dataclasses.asdict(r) for r in rows], "summary": summary}
+    assert scan_json(rows, summary) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_scan_empty_admissible_set(capsys):

@@ -1,6 +1,8 @@
 """Golden output digests: the SHA-256 of the exact bytes the CLI writes for
-a fixed scan and a fixed band of checks, so that a change meant to keep the
-output (a speed-up, a refactor) is shown byte-identical inside the suite.
+a fixed scan and a fixed band of checks, and of the decisions of
+``represents`` over a box of small forms and targets, so that a change meant
+to keep the output (a speed-up, a refactor) is shown byte-identical inside
+the suite.
 
 Re-record a digest only when the output is meant to change, and say so in
 CHANGES.md.  To print the current digests:
@@ -14,6 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from k3cert.bqf import QuadraticForm, represents
 from k3cert.cli import main
 
 SCAN = ["scan", "--g-min", "12", "--g-max", "600", "--s-min", "-1", "--s-max", "10"]
@@ -40,6 +43,11 @@ GOLDEN = {
                    "2ba65e217cb89f2018ec1f7eb196cddb317f614da765a7538365aa7a22bf7937"),
 }
 
+# (status, witness, modulus) of represents(f, t), one line per query, for
+# |a|, |c| <= 7, |b| <= 9 and t in {-2, -1, 1, 2}: the kernel behind `form`
+# and |t| = 2, which the CLI cases above never reach.
+KERNEL = "91084a54ba9807074ebb18142c02a3f2ade799af43a2abd632d47258c9920d12"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -54,11 +62,34 @@ def digests(name: str) -> tuple[str, str, str]:
             _sha256(",".join(map(str, codes))))
 
 
+def kernel_digest() -> str:
+    """Decide every query of the KERNEL box; digest the decisions, with
+    "ValueError" for a query outside the domain of represents."""
+    lines = []
+    for a in range(-7, 8):
+        for b in range(-9, 10):
+            for c in range(-7, 8):
+                f = QuadraticForm(a, b, c)
+                for t in (-2, -1, 1, 2):
+                    try:
+                        dec = represents(f, t)
+                    except ValueError:
+                        lines.append("ValueError")
+                        continue
+                    lines.append(f"{dec.status.value} {dec.witness} {dec.modulus}")
+    return _sha256("\n".join(lines))
+
+
 def print_digests() -> None:
     for name in CASES:
         print(f"    {name!r}: {digests(name)!r},")
+    print(f"KERNEL = {kernel_digest()!r}")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output_digest(name):
     assert digests(name) == GOLDEN[name]
+
+
+def test_golden_represents_digest():
+    assert kernel_digest() == KERNEL
