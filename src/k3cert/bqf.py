@@ -22,13 +22,23 @@ primitive, which is what makes the decision complete.
 The residue scan that runs before all of this is memoised on the
 coefficients and the target mod k, which is all its answer depends on.
 
-The cycle is walked once, one division per step, and the walk only records
-its quotients, so a walk that closes multiplies nothing.  After a hit, the
+The cycle is walked one division per step, and the walk only records its
+quotients, so a walk that closes multiplies nothing.  After a hit, the
 walk's transform, one shear [[0, -1], [1, s]] per step, is assembled in a
 balanced product tree (Bernstein, "Fast multiplication and its
 applications", 2008) whose right spine is applied to a column vector, as
 only the witness is needed: near-linear in the witness size, where
 multiplying one shear at a time is quadratic.
+
+A walk that has not ended after _SWITCH steps goes on with giant strides
+(baby steps and giant steps on the cycle's infrastructure, Shanks 1972):
+composition with a fixed principal form and reduction jump about a window's
+length of the cycle at once, with an exact transform, and a stride that
+lands in a window of consecutive forms after a target, or at the start of
+the cycle, settles the walk.  A stride's transform is the walk's only up
+to sign, which depends on the number of steps mod 4, so a hit still counts
+its steps with a walk that multiplies nothing, and the witness is
+assembled from the strides in a balanced product tree in Q(sqrt(D)).
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, isqrt, prod
 from typing import Sequence
 
@@ -254,17 +265,30 @@ def _rho(form: _Form, D: int, root: int) -> tuple[_Form, int]:
 
 
 def _reduce(form: _Form, D: int, root: int) -> tuple[_Form, _Mat]:
-    """Reduce to a reduced form, tracking the accumulated SL2 transform.
+    """Reduce to a reduced form, tracking the accumulated SL2 transform;
+    _is_reduced and _rho, inlined.
 
     The number of rho steps is logarithmic in |c| / sqrt(D) (Buchmann &
     Vollmer, *Binary Quadratic Forms*, 2007, ch. 6), so the loop needs no cap."""
     p, q, r, t = _IDENTITY
-    current = form
-    while not _is_reduced(current, D, root):
-        current, s = _rho(current, D, root)
+    a, b, c = form
+    while True:
+        if 0 < b <= root:
+            u = 2 * abs(a)
+            if (u + b) ** 2 > D and (u < b or (u - b) ** 2 < D):
+                return (a, b, c), (p, q, r, t)
+        ac = abs(c)
+        two = 2 * ac
+        if ac > root:
+            bp = (-b) % two
+            if bp > ac:
+                bp -= two
+        else:
+            bp = root - ((root + b) % two)
+        s = (b + bp) // (2 * c)
+        a, b, c = c, bp, (bp * bp - D) // (4 * c)
         # times the shear [[0, -1], [1, s]], as in _leaf_product
         p, q, r, t = q, s * q - p, t, s * t - r
-    return current, (p, q, r, t)
 
 
 # Shears per leaf of the product tree.  A leaf is built by direct update,
@@ -304,17 +328,26 @@ def _apply(shears: Sequence[int], v: tuple[int, int]) -> tuple[int, int]:
     return p * x + q * y, r * x + t * y
 
 
-def _cycle_hit(start: _Form, targets: dict[_Form, _Mat],
-               root: int) -> tuple[_Form, list[int]] | None:
-    """Walk the reduction cycle of `start` once: the first target form met
-    and the shears s of the steps [[0, -1], [1, s]] that take `start` to it,
-    or None once the walk is back at `start` without a hit.
+def _cycle_bound(root: int) -> int:
+    """More steps than any reduction cycle of discriminant D has: a reduced
+    form has 0 < b < sqrt(D) and 0 < |a| < sqrt(D) (B&V ch. 6), so there
+    are fewer than 2*isqrt(D)**2 of them."""
+    return 2 * root * root + 1
+
+
+def _cycle_hit(start: _Form, targets: dict[_Form, _Mat], root: int,
+               limit: int | None = None) -> tuple[_Form, list[int]] | None:
+    """Walk the reduction cycle of `start`: the first target form met and
+    the shears s of the steps [[0, -1], [1, s]] that take `start` to it, or
+    None once the walk is back at `start` without a hit.  After `limit`
+    steps with neither, the form reached (not a target) and the shears to
+    it; without a limit the walk stops at _cycle_bound.
 
     A reduced form (a, b, c) has ac < 0 and rho takes it to (c, b', c'), so
     the sign of a alternates.  The walk carries (A, b, C) = (2|a|, b, 2|c|):
     with q = (root + b) // C, rho gives b' = Cq - b, C' = A - q(b' - b) and
     the shear sign(c)*q.  It records q, rebuilds the signed form only where
-    b' is that of a target or of `start`, and signs the shears after a hit."""
+    b' is that of a target or of `start`, and signs the shears at the end."""
     if start in targets:
         return start, []
     a0, b0, c0 = start
@@ -323,7 +356,7 @@ def _cycle_hit(start: _Form, targets: dict[_Form, _Mat],
     A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
     quotients: list[int] = []
     record = quotients.append
-    while True:
+    for _ in repeat(None, _cycle_bound(root) if limit is None else limit):
         q = (root + b) // C
         record(q)
         bp = C * q - b
@@ -332,13 +365,348 @@ def _cycle_hit(start: _Form, targets: dict[_Form, _Mat],
             u = -sign if len(quotients) % 2 else sign
             form = (u * (A >> 1), b, -u * (C >> 1))
             if form in targets:
-                # sign(c) at step i is -sign * (-1)^i
-                first = 0 if sign > 0 else 1
-                quotients[first::2] = [-q for q in quotients[first::2]]
-                return form, quotients
+                return form, _signed(quotients, sign)
             # ends: rho permutes the finite set of reduced forms of discriminant D (B&V ch. 6)
             if form == start:
                 return None
+    if limit is None:
+        raise RuntimeError("internal error: the cycle walk ran past the bound on the cycle length")
+    u = -sign if limit % 2 else sign
+    return (u * (A >> 1), b, -u * (C >> 1)), _signed(quotients, sign)
+
+
+def _signed(quotients: list[int], sign: int) -> list[int]:
+    """The shears of a walk from a form whose a has sign `sign`: sign(c) at
+    step i is -sign * (-1)^i."""
+    first = 0 if sign > 0 else 1
+    quotients[first::2] = [-q for q in quotients[first::2]]
+    return quotients
+
+
+# -- giant strides ------------------------------------------------------------
+#
+# A walk that has not ended after _SWITCH steps is finished by Shanks's baby
+# steps and giant steps on the infrastructure of the cycle (Shanks 1972;
+# Jacobson & Williams, *Solving the Pell Equation*, 2009, ch. 10-11).
+#
+# A transform with first column (p, r) from a form (a, b, c) has
+# lambda = p - r*omega, omega = (-b + sqrt(D))/(2a) the form's first root;
+# lambda is multiplicative along a chain of transforms, and the transforms
+# between two forms differ by the units of one whole cycle, lambda * eps^k,
+# and by sign.  A forward walk has |lambda| < 1, shrinking with each step;
+# its distance -ln|lambda| grows by less than the cycle's ln(eps) before
+# the walk is back where it started.
+#
+# A stride composes a reduced form with a fixed principal form h, reached
+# from (1, B, C) by a walk of the principal cycle, and reduces the
+# composite: it lands on the same cycle about h's distance further on, and
+# the composition gives its transform exactly, up to sign (_stride).  Each
+# stride is certified, with integers only, to move forward by less than any
+# window of consecutive forms: one at the start of the cycle and one after
+# each reduced target (_certified).  So a stride that passes a window's
+# first form lands in that window, the first stride that lands in a
+# target's window has passed the first target met, and a stride that lands
+# in the start's window has gone round the cycle past every target.
+#
+# A stride's transform is the walk's only up to sign, and the walk's sign
+# depends on its number of steps mod 4, which no form shows.  So a hit
+# counts the steps of the walk to the target, with no product, and fixes
+# the sign of the product of the strides from that count (_signed_strides).
+
+_SWITCH = 2048  # walks on the scan-grid benchmark end within 1,905 steps
+
+
+def _window_size(D: int) -> int:
+    """Steps per window, about 2 D^(1/4), twice the square root of a
+    typical cycle length ~ sqrt(D); at least 64."""
+    return max(64, 2 * isqrt(isqrt(D)))
+
+
+def _window(start: _Form, steps: int, root: int) -> tuple[list[int], list[int], _Form, bool]:
+    """The keys (_unkey) of the forms of the first `steps` steps of rho from
+    `start`, the signed shears of those steps, the last form, and whether
+    the walk stopped early because it was back at `start`."""
+    a0, b0, c0 = start
+    sign = 1 if a0 > 0 else -1
+    A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
+    K = root + 1
+    keys = [sign * A * K + b0]
+    key = keys.append
+    quotients: list[int] = []
+    record = quotients.append
+    u = sign
+    for _ in repeat(None, steps):
+        q = (root + b) // C
+        record(q)
+        bp = C * q - b
+        A, b, C = C, bp, A - q * (bp - b)
+        u = -u
+        if b == b0 and (u * (A >> 1), b, -u * (C >> 1)) == start:
+            return keys, _signed(quotients, sign), start, True
+        key(u * A * K + b)
+    return keys, _signed(quotients, sign), (u * (A >> 1), b, -u * (C >> 1)), False
+
+
+def _unkey(key: int, K2: int, D: int) -> _Form:
+    """The reduced form with key 2a*(root + 1) + b = key, K2 = 2*(root + 1):
+    its b lies in (0, root]."""
+    a, b = divmod(key, K2)
+    return (a, b, (b * b - D) // (4 * a))
+
+
+def _reach(start: _Form, end: _Form, shears: Sequence[int], root: int) -> int:
+    """A bound L such that a forward transform (see _certified) is shorter
+    than the walk of `shears` from `start` to `end` when its entry r and
+    the |a| of its ends satisfy |r|(isqrt(D) + 1) + |a| <= |a'| L.
+
+    Any transform with first column (p, r) from (a, b, c) to (a', b', c')
+    has conj(lambda) - lambda = r*sqrt(D)/a and |lambda conj(lambda)| = |a'/a|,
+    so with |lambda| < 1, |lambda| > |a'|/(|r|(isqrt(D) + 1) + |a|) for the
+    transform and |lambda| < |a_end|/(|r_walk| isqrt(D) - |a_start|) for the
+    walk, r_walk the entry r of the product of its shears [[0, -1], [1, s]]."""
+    r, t = 0, 1
+    for s in shears:
+        r, t = t, s * t - r
+    return (abs(r) * root - abs(start[0])) // abs(end[0])
+
+
+def _negated(form: _Form) -> _Form:
+    """(a, b, c) -> (-a, b, -c), which commutes with rho and negates its shear."""
+    return (-form[0], form[1], -form[2])
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % p for p in range(2, isqrt(n) + 1))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _stride(form: _Form, h: _Form, lam: tuple[int, int], D: int,
+            root: int) -> tuple[_Form, int, int]:
+    """The reduced form reached from the composite of the primitive `form`
+    with the principal form h, and the first column (p, r) of a transform
+    from `form` to it.
+
+    h = P * M for a principal form P = (1, B, C) and lam = (X, Y) with
+    lambda(M) = (X + Y*sqrt(D))/2.  The lattice [1, omega] of the Dirichlet
+    composite (Cox, sec. 3) is e/lambda(M) times the form's, with
+    e = gcd(a1, a2, (b1 + b2)/2), so a transform from `form` to the
+    composite has lambda(M)/e, and reduction multiplies in its own."""
+    a1, b1, _ = form
+    a2, b2, _ = h
+    if gcd(a1, a2) == 1:
+        e, m = 1, abs(a1)
+        B = b2 + 2 * a2 * ((b1 - b2) // 2 * pow(a2, -1, m) % m)
+    else:
+        g, x1, y1 = _xgcd(a1, a2)
+        e, x, w = _xgcd(g, (b1 + b2) // 2)
+        B = (x * x1 * a1 * b2 + x * y1 * a2 * b1 + w * (b1 * b2 + D) // 2) // e
+    a3 = a1 * a2 // (e * e)
+    B %= 2 * abs(a3)
+    landing, (p, _, r, _) = _reduce((a3, B, (B * B - D) // (4 * a3)), D, root)
+    # lambda of the reduction is (Xr - r*sqrt(D))/(2*a3); multiply out
+    X, Y = lam
+    Xr = 2 * a3 * p + r * B
+    Z = Y * Xr - X * r
+    den = 4 * e * a3
+    return landing, (X * Xr - Y * (r * D) + Z * b1) // den, -2 * a1 * Z // den
+
+
+def _certified(form: _Form, landing: _Form, p: int, r: int, root: int, reach: int) -> bool:
+    """True when the transform with first column (p, r) from `form` to
+    `landing` is forward, |lambda| < 1, and shorter than every window, the
+    least _reach of the windows being `reach`.
+
+    lambda = (X - r*sqrt(D))/(2a) with X = 2ap + rb; when X and r share a
+    sign, |conj(lambda)| > |r| isqrt(D)/(2|a|), and lambda conj(lambda) = a'/a
+    bounds |lambda| by 2|a'|/(|r| isqrt(D))."""
+    X = 2 * form[0] * p + r * form[1]
+    R = abs(r)
+    return (X != 0 and r != 0 and (X > 0) == (r > 0) and 2 * abs(landing[0]) < R * root
+            and R * (root + 1) + abs(form[0]) <= abs(landing[0]) * reach)
+
+
+def _walk_sign(a: int, steps: int) -> int:
+    """The sign of lambda over `steps` steps of rho from a form whose first
+    coefficient is a: each step gives -sign(a), and a alternates."""
+    sign = (-1 if a > 0 else 1) if steps % 2 else 1
+    return -sign if steps * (steps - 1) // 2 % 2 else sign
+
+
+_Node = tuple[_Form, int, int]  # a transform: its start form and first column
+_Window = tuple[dict[int, int], int, _Form, list[int]]  # keys -> step, sign, target, shears
+
+
+def _landed(landing: _Form, windows: list[_Window], start_keys: set[int],
+            K2: int) -> tuple[tuple[int, _Form, list[int]] | None, bool]:
+    """Where a stride landed: the (step, target, shears) of the target
+    window that holds `landing` furthest from its target, whose target is
+    then the first met, or None; and whether `landing` is in the window at
+    the start of the cycle.  A window of sign -1 holds the negated forms of
+    its keys."""
+    a, b, _ = landing
+    met = max(((win[a * sign * K2 + b], g, shears) for win, sign, g, shears in windows
+               if a * sign * K2 + b in win), default=None)
+    return met, a * K2 + b in start_keys
+
+
+def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat],
+           D: int, root: int) -> tuple[_Form, list[_Node]] | None:
+    """Finish the walk of the cycle of f_red, which reached `end` after the
+    shears `head` and met neither a target nor f_red again, by giant strides.
+
+    Returns None when no target is on the cycle; else the first target met
+    and the walk's transform to it as nodes, each starting where the one
+    before it ends.  Falls back on the walk where a stride is not certified
+    or f_red is not primitive, as composition needs."""
+    if gcd(*f_red) != 1:
+        return _walk_on(f_red, head, end, targets, root)
+    W = min(_window_size(D), len(head))
+    K2 = 2 * (root + 1)
+    # strides from `end` land in the window at the start of the cycle once
+    # they have gone round
+    fkeys = _window(f_red, W, root)[0]
+    start_keys = set(fkeys)
+    reach = _reach(f_red, _unkey(fkeys[-1], K2, D), head[:W], root)
+    # the principal cycle from the reduced (1, B, C): h, and the window of a
+    # target on it or on its negation
+    B = D & 1
+    p_red, m_p = _reduce((1, B, (B * B - D) // 4), D, root)
+    pkeys, pshears, p_last, p_closed = _window(p_red, W, root)
+    windows: list[_Window] = []
+    for g in targets:
+        if p_red in (g, _negated(g)):
+            if not p_closed:  # else its cycle is shorter than f_red's
+                sign = 1 if g == p_red else -1
+                windows.append(({k: i for i, k in enumerate(pkeys)}, sign, g,
+                                pshears if sign > 0 else [-s for s in pshears]))
+                reach = min(reach, _reach(p_red, p_last, pshears, root))
+            continue
+        gkeys, gshears, g_last, g_closed = _window(g, W, root)
+        if not g_closed:  # else its cycle is shorter than f_red's
+            windows.append(({k: i for i, k in enumerate(gkeys)}, 1, g, gshears))
+            reach = min(reach, _reach(g, g_last, gshears, root))
+    if not windows:
+        return None
+    n_h = 3 * W // 4
+    if len(pkeys) <= n_h:
+        return _walk_on(f_red, head, end, targets, root)
+    # a prime |a| keeps gcd(a, a_h) = 1 in _stride, its fast case
+    n_h = next((n for n in range(n_h, n_h // 2, -1) if _is_prime(abs(pkeys[n] // K2))), n_h)
+    h = _unkey(pkeys[n_h], K2, D)
+    M = _matmul(m_p, _product(pshears[:n_h]))
+    lam = (2 * M[0] + M[2] * B, -M[2])
+    strides: list[_Node] = []
+    form = end
+    # each stride moves at least one step, and a cycle has fewer than
+    # _cycle_bound forms
+    for _ in repeat(None, _cycle_bound(root)):
+        landing, p, r = _stride(form, h, lam, D, root)
+        if not _certified(form, landing, p, r, root, reach):
+            return _walk_on(f_red, head, end, targets, root)
+        strides.append((form, p, r))
+        met, closed = _landed(landing, windows, start_keys, K2)
+        if met is not None:
+            return _signed_strides(f_red, head, end, strides, landing, *met, D, root)
+        if closed:
+            return None
+        form = landing
+    raise RuntimeError("internal error: the giant strides ran past the bound on the cycle length")
+
+
+def _walk_on(f_red: _Form, head: list[int], end: _Form, targets: dict[_Form, _Mat],
+             root: int) -> tuple[_Form, list[_Node]] | None:
+    """The plain walk from `end`, reached from f_red by `head`; it is back
+    at `end` after one cycle."""
+    found = _cycle_hit(end, targets, root)
+    if found is None:
+        return None
+    hit, shears = found
+    return hit, [(f_red, *_apply(head + shears, (1, 0)))]
+
+
+def _signed_strides(f_red: _Form, head: list[int], end: _Form, strides: list[_Node],
+                    landing: _Form, j: int, g: _Form, shears: list[int],
+                    D: int, root: int) -> tuple[_Form, list[_Node]]:
+    """The walk's transform from f_red to g, the first target on its cycle,
+    which the last of `strides` passed to land j steps after it.
+
+    It is head, the strides, and the inverse of g's first j steps, up to the
+    sign of the strides: rho steps from a form with first coefficient a
+    give lambda the sign _walk_sign(a, steps), and a stride from (a, b, c)
+    to (a', b', c') with entry r has the sign of a'r, since lambda is small
+    beside conj(lambda) - lambda = r*sqrt(D)/a.  So only the number of
+    steps from f_red to g is needed, and a walk counts it."""
+    steps = len(head) + _steps_to(end, g, D, root)
+    M = _product(shears[:j])
+    sign = _walk_sign(f_red[0], len(head)) * _walk_sign(g[0], j)
+    nodes: list[_Node] = [(f_red, *_apply(head, (1, 0)))]
+    for k, (start, p, r) in enumerate(strides):
+        to = strides[k + 1][0] if k + 1 < len(strides) else landing
+        sign *= 1 if (to[0] > 0) == (r > 0) else -1
+        nodes.append((start, p, r))
+    if sign != _walk_sign(f_red[0], steps):
+        start, p, r = nodes[1]
+        nodes[1] = (start, -p, -r)
+    nodes.append((landing, M[3], -M[2]))  # the first column of inverse(M)
+    return g, nodes
+
+
+def _steps_to(start: _Form, g: _Form, D: int, root: int) -> int:
+    """The steps of rho from `start` to g, two per pass: after the first
+    of a pass the walk holds C' = 2|c| of the form, whose 2|a| is
+    (D - b^2)/C'."""
+    a0, b0, c0 = start
+    sign = 1 if a0 > 0 else -1
+    A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
+    b_g = g[1]
+    for n in range(2, _cycle_bound(root) + 2, 2):
+        q = (root + b) // C
+        b1 = C * q - b
+        A -= q * (b1 - b)
+        r = (root + b1) // A
+        b = A * r - b1
+        C -= r * (b - b1)
+        if b1 == b_g and (-sign * ((D - b1 * b1) // A >> 1), b1, sign * (A >> 1)) == g:
+            return n - 1
+        if b == b_g and (sign * (A >> 1), b, -sign * (C >> 1)) == g:
+            return n
+    raise RuntimeError("internal error: the counting walk ran past the bound on the cycle length")
+
+
+def _column(nodes: Sequence[_Node], D: int) -> tuple[int, int]:
+    """The first column (p, r) of the product of the transforms of `nodes`.
+
+    A transform with first column (p, r) from (a, b, c) has
+    lambda = (X + Y*sqrt(D))/(2a) with X = 2ap + rb and Y = -r, and lambda
+    is multiplicative along a chain of transforms, so the product is a
+    balanced tree of products in Q(sqrt(D)): three big multiplications per
+    node, where a product of 2x2 matrices takes eight."""
+    (a, b, _), _, _ = nodes[0]
+    X, Y = _lambda(nodes, D)
+    return (X + Y * b) // (2 * a), -Y
+
+
+def _lambda(nodes: Sequence[_Node], D: int) -> tuple[int, int]:
+    """(X, Y) of the product of the transforms of `nodes` (see _column)."""
+    if len(nodes) == 1:
+        (a, b, _), p, r = nodes[0]
+        return 2 * a * p + r * b, -r
+    mid = len(nodes) // 2
+    X, Y = _lambda(nodes[:mid], D)
+    X2, Y2 = _lambda(nodes[mid:], D)
+    xx, yy = X * X2, Y * Y2
+    cross = (X + Y) * (X2 + Y2) - xx - yy
+    den = 2 * nodes[mid][0][0]
+    return (xx + D * yy) // den, cross // den
 
 
 def _character_fails(form: _Form, t: int, p: int) -> bool:
@@ -379,10 +747,13 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     additionally requires discriminant(f) > 0 and nonsquare, and settles
     the question either way.  A genus character at an odd prime p < 1000
     dividing D that f fails proves that t is not represented.  Otherwise f
-    and each form (t, B, C) are reduced, and one walk of f's cycle either
+    and each form (t, B, C) are reduced, and a walk of f's cycle either
     meets a reduced target, whose witness is then assembled from the walk's
     shears in a balanced product tree applied to a vector, or comes back to
-    its start, which proves that t is not represented.  Returned witnesses
+    its start, which proves that t is not represented.  A walk that has not
+    ended after _SWITCH steps is finished by giant strides (_giant), which
+    give the same first target and the same witness, or the same proof.
+    Returned witnesses
     are re-checked exactly before being handed back.
     """
     if t == 0:
@@ -413,15 +784,23 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
             C = (B * B - D) // four_t
             g_red, m_g = _reduce((t, B, C), D, root)
             targets.setdefault(g_red, m_g)
-    found = _cycle_hit(f_red, targets, root) if targets else None
+    found = _cycle_hit(f_red, targets, root, _SWITCH) if targets else None
     if found is None:
         return RepDecision.none_proved()
     hit, shears = found
-    m_g = targets[hit]
-    # the first column of m_f * m_cycle * inverse(m_g)
-    x, y = _apply(shears, (m_g[3], -m_g[2]))
-    p, q, r, s = m_f
-    m, n = p * x + q * y, r * x + s * y
+    if hit in targets:
+        m_g = targets[hit]
+        # the first column of m_f * m_cycle * inverse(m_g)
+        x, y = _apply(shears, (m_g[3], -m_g[2]))
+        p, q, r, s = m_f
+        m, n = p * x + q * y, r * x + s * y
+    else:
+        walked = _giant(f_red, hit, shears, targets, D, root)
+        if walked is None:
+            return RepDecision.none_proved()
+        hit, nodes = walked
+        m_g = targets[hit]
+        m, n = _column([(form, m_f[0], m_f[2]), *nodes, (hit, m_g[3], -m_g[2])], D)
     # 4a*Q(m, n) = (2am + bn)^2 - D*n^2, and a != 0 since D is not a square
     a = f.a
     if (2 * a * m + f.b * n) ** 2 - D * (n * n) != 4 * a * t:

@@ -254,15 +254,22 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        cert = build_certificate(args.g, args.s)
-        # json.dumps raises ValueError on a witness past the int-to-str digit limit
-        json_text = (json.dumps(certificate_to_dict(cert), indent=2) + "\n"
-                     if args.format == "json" else None)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # two errors exit 2: the domain error, and json.dumps refusing a witness
+    # past the int-to-str digit limit; any other error is an internal fault
+    if args.g < 2:
+        print(f"error: genus must be >= 2, got {args.g}", file=sys.stderr)
         return 2
-    sys.stdout.write(json_text or render_certificate_text(cert))
+    cert = build_certificate(args.g, args.s)
+    if args.format == "json":
+        payload = certificate_to_dict(cert)
+        try:
+            text = json.dumps(payload, indent=2) + "\n"
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    else:
+        text = render_certificate_text(cert)
+    sys.stdout.write(text)
     return 0 if cert.conclusion == CONCLUSION_APPLIES else 1
 
 

@@ -661,3 +661,137 @@ def test_represents_checks_discriminant_before_genus(coeffs, t):
     assert modular_obstruction(f, t) is None
     with pytest.raises(ValueError):
         represents(f, t)
+
+
+# -- giant strides past the switch ---------------------------------------------
+
+def _decisions(cells):
+    return [represents(_minus_two_form(g, s), -1) for g, s in cells]
+
+
+@pytest.mark.parametrize("switch, window", [(16, 16), (32, 32), (48, 48), (64, 24)])
+def test_giant_strides_match_the_walk(monkeypatch, switch, window):
+    # with the switch lowered, strides decide most open cells of g < 260:
+    # every decision, witness and sign included, is the walk's
+    cells = [(g, s) for g in range(2, 260) for s in range(-3, 40)
+             if (g - s) ** 2 > 12 * (g - 1)
+             and isqrt((g - s) ** 2 - 12 * (g - 1)) ** 2 != (g - s) ** 2 - 12 * (g - 1)]
+    monkeypatch.setattr(bqf, "_SWITCH", 10 ** 9)
+    walked = _decisions(cells)
+    outcomes = []
+
+    def counted(fn, name):
+        def wrapped(*args):
+            result = fn(*args)
+            outcomes.append((name, result))
+            return result
+        return wrapped
+    monkeypatch.setattr(bqf, "_SWITCH", switch)
+    monkeypatch.setattr(bqf, "_window_size", lambda D: window)
+    monkeypatch.setattr(bqf, "_landed", counted(bqf._landed, "landed"))
+    monkeypatch.setattr(bqf, "_signed_strides", counted(bqf._signed_strides, "hit"))
+    monkeypatch.setattr(bqf, "_walk_on", counted(bqf._walk_on, "walk"))
+    assert _decisions(cells) == walked
+    # strides settle hits and closed cycles; the walk takes over on few cells
+    hits = sum(name == "hit" for name, _ in outcomes)
+    closed = sum(name == "landed" and result == (None, True) for name, result in outcomes)
+    walks = sum(name == "walk" for name, _ in outcomes)
+    assert hits > 300 and closed > 40 and walks < hits + closed
+
+
+def test_giant_strides_match_the_walk_on_small_forms(monkeypatch):
+    queries = [(QuadraticForm(*form), t) for form, _ in _small_indefinite_forms()
+               if abs(form[0]) <= 8 and abs(form[2]) <= 8 for t in (-2, -1, 1, 2)]
+    monkeypatch.setattr(bqf, "_SWITCH", 10 ** 9)
+    walked = [represents(f, t) for f, t in queries]
+    monkeypatch.setattr(bqf, "_SWITCH", 4)
+    monkeypatch.setattr(bqf, "_window_size", lambda D: 4)
+    assert [represents(f, t) for f, t in queries] == walked
+
+
+def test_giant_strides_stop_at_the_cycle_bound(monkeypatch):
+    # landings never recognised: the strides go round the 66-step cycle of
+    # (81, 2) until the bound on the cycle length, then fail at once
+    monkeypatch.setattr(bqf, "_SWITCH", 16)
+    monkeypatch.setattr(bqf, "_window_size", lambda D: 16)
+    monkeypatch.setattr(bqf, "_landed", lambda *args: (None, False))
+    with pytest.raises(RuntimeError, match="internal error"):
+        represents(_minus_two_form(81, 2), -1)
+
+
+def test_counting_walk_stops_at_the_cycle_bound():
+    # a target off the cycle is never met
+    f = _minus_two_form(81, 2)
+    start, targets, D, root = _walk_setup(f, -1)
+    (target,) = targets
+    with pytest.raises(RuntimeError, match="internal error"):
+        bqf._steps_to(start, target, D, root)
+
+
+def test_represents_long_closed_cycle_100003_2():
+    # a 62,134-step cycle that neither the residue scan nor a genus character
+    # settles; recorded NONE_PROVED by the plain walk
+    f = _minus_two_form(100003, 2)
+    start, targets, D, root = _walk_setup(f, -1)
+    assert D == 9998999977 and modular_obstruction(f, -1) is None
+    assert not bqf._genus_obstructed((f.a, f.b, f.c), -1, D)
+    assert _cycle_length(start, D, root) == 62134 > bqf._SWITCH
+    assert represents(f, -1) == RepDecision.none_proved()
+
+
+def test_represents_hard_cell_100135_2_witness_digest():
+    # the SHA-256 of "m,n" in decimal, recorded from the walk's witness
+    m, n = represents(_minus_two_form(100135, 2), -1).witness
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = f"{m},{n}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a1d3ff872e6928af3eadb5241396552de899661e7705b36b1ff77aff48b3aac0")
+
+
+def test_lambda_tree_matches_matrix_products():
+    # the first column of a chain of walk transforms, as a product in
+    # Q(sqrt(D)), is that of the plain product of all their shears
+    form, _, D, root = _walk_setup(_minus_two_form(2315, 10), -1)
+    rng = random.Random(7)
+    shears, chain = [], []
+    for length in [rng.randint(1, 40) for _ in range(13)]:
+        segment, begin = [], form
+        for _ in range(length):
+            form, s = bqf._rho(form, D, root)
+            segment.append(s)
+        p, _, r, _ = _sequential_shear_product(segment)
+        chain.append((begin, p, r))
+        shears += segment
+    p, _, r, _ = _sequential_shear_product(shears)
+    assert bqf._column(chain, D) == (p, r)
+
+
+def test_stride_certificate_is_sound_and_not_vacuous():
+    # walks from one form: a walk of m steps passes the certificate against
+    # the window of its first k steps only when m < k, and most walks of at
+    # most k/2 steps pass it
+    passed = short = 0
+    for cell in [(2315, 10), (4417, 0), (81, 2)]:
+        start, _, D, root = _walk_setup(_minus_two_form(*cell), -1)
+        form = start
+        for _ in range(20):
+            forms, shears = [form], []
+            for _ in range(120):
+                nxt, s = bqf._rho(forms[-1], D, root)
+                forms.append(nxt)
+                shears.append(s)
+            for k in (8, 24, 60):
+                reach = bqf._reach(form, forms[k], shears[:k], root)
+                for m in range(1, 2 * k):
+                    p, _, r, _ = _sequential_shear_product(shears[:m])
+                    ok = bqf._certified(form, forms[m], p, r, root, reach)
+                    assert not ok or m < k, (cell, form, k, m)
+                    if 2 * m <= k:
+                        short += 1
+                        passed += ok
+            form = forms[7]
+    assert passed > 0.8 * short

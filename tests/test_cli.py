@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from k3cert import lattice
 from k3cert.certify import build_certificate
 from k3cert.cli import (
     CSV_COLUMNS,
@@ -66,6 +67,16 @@ def test_check_malformed_argument_exits_two():
 def test_check_out_of_domain_genus(capsys):
     assert main(["check", "--g", "1", "--s", "0"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_internal_value_error_is_not_a_usage_error(monkeypatch, fmt):
+    # only g < 2 and the JSON digit limit exit 2; an engine fault propagates
+    def broken(f, t):
+        raise ValueError("broken engine")
+    monkeypatch.setattr(lattice, "represents", broken)
+    with pytest.raises(ValueError, match="broken engine"):
+        main(["check", "--g", "19", "--s", "1", "--format", fmt])
 
 
 def test_check_huge_witness_2399_4(capsys):
