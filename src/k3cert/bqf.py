@@ -545,17 +545,17 @@ _Node = tuple[_Form, int, int]  # a transform: its start form and first column
 _Window = tuple[dict[int, int], int, _Form, list[int]]  # keys -> step, sign, target, shears
 
 
-def _landed(landing: _Form, windows: list[_Window], start_keys: set[int],
-            K2: int) -> tuple[tuple[int, _Form, list[int]] | None, bool]:
+def _landed(landing: _Form, windows: list[_Window], start: dict[int, int],
+            K2: int) -> tuple[tuple[int, _Form, list[int]] | None, int | None]:
     """Where a stride landed: the (step, target, shears) of the target
     window that holds `landing` furthest from its target, whose target is
-    then the first met, or None; and whether `landing` is in the window at
-    the start of the cycle.  A window of sign -1 holds the negated forms of
+    then the first met, or None; and its step in the window at the start
+    of the cycle, or None.  A window of sign -1 holds the negated forms of
     its keys."""
     a, b, _ = landing
     met = max(((win[a * sign * K2 + b], g, shears) for win, sign, g, shears in windows
                if a * sign * K2 + b in win), default=None)
-    return met, a * K2 + b in start_keys
+    return met, start.get(a * K2 + b)
 
 
 def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat],
@@ -571,10 +571,8 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
         return _walk_on(f_red, head, end, targets, root)
     W = min(_window_size(D), len(head))
     K2 = 2 * (root + 1)
-    # strides from `end` land in the window at the start of the cycle once
-    # they have gone round
     fkeys = _window(f_red, W, root)[0]
-    start_keys = set(fkeys)
+    start_keys = dict(zip(fkeys, range(len(fkeys))))
     reach = _reach(f_red, _unkey(fkeys[-1], K2, D), head[:W], root)
     # the principal cycle from the reduced (1, B, C): h, and the window of a
     # target on it or on its negation
@@ -586,13 +584,13 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
         if p_red in (g, _negated(g)):
             if not p_closed:  # else its cycle is shorter than f_red's
                 sign = 1 if g == p_red else -1
-                windows.append(({k: i for i, k in enumerate(pkeys)}, sign, g,
+                windows.append((dict(zip(pkeys, range(len(pkeys)))), sign, g,
                                 pshears if sign > 0 else [-s for s in pshears]))
                 reach = min(reach, _reach(p_red, p_last, pshears, root))
             continue
         gkeys, gshears, g_last, g_closed = _window(g, W, root)
         if not g_closed:  # else its cycle is shorter than f_red's
-            windows.append(({k: i for i, k in enumerate(gkeys)}, 1, g, gshears))
+            windows.append((dict(zip(gkeys, range(len(gkeys)))), 1, g, gshears))
             reach = min(reach, _reach(g, g_last, gshears, root))
     if not windows:
         return None
@@ -604,8 +602,15 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
     h = _unkey(pkeys[n_h], K2, D)
     M = _matmul(m_p, _product(pshears[:n_h]))
     lam = (2 * M[0] + M[2] * B, -M[2])
+    # strides from f_red, so that the walk's head is not multiplied out.  A
+    # landing in the start window is still on its first pass when none has
+    # landed beyond the window and it is further in than the one before (no
+    # stride is a whole cycle); a target is not passed there, as the walk
+    # found none in its first `len(head)` >= W steps, and a target window
+    # that holds it has wrapped past the end of the cycle.  Any other
+    # landing in the start window has gone round the cycle.
     strides: list[_Node] = []
-    form = end
+    form, beyond, index = f_red, False, 0
     # each stride moves at least one step, and a cycle has fewer than
     # _cycle_bound forms
     for _ in repeat(None, _cycle_bound(root)):
@@ -613,11 +618,15 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
         if not _certified(form, landing, p, r, root, reach):
             return _walk_on(f_red, head, end, targets, root)
         strides.append((form, p, r))
-        met, closed = _landed(landing, windows, start_keys, K2)
-        if met is not None:
-            return _signed_strides(f_red, head, end, strides, landing, *met, D, root)
-        if closed:
+        met, at = _landed(landing, windows, start_keys, K2)
+        if at is not None and not beyond and at > index:
+            index = at
+        elif met is not None:
+            return _signed_strides(f_red, len(head), end, strides, landing, *met, D, root)
+        elif at is not None:
             return None
+        else:
+            beyond = True
         form = landing
     raise RuntimeError("internal error: the giant strides ran past the bound on the cycle length")
 
@@ -633,31 +642,29 @@ def _walk_on(f_red: _Form, head: list[int], end: _Form, targets: dict[_Form, _Ma
     return hit, [(f_red, *_apply(head + shears, (1, 0)))]
 
 
-def _signed_strides(f_red: _Form, head: list[int], end: _Form, strides: list[_Node],
+def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
                     landing: _Form, j: int, g: _Form, shears: list[int],
                     D: int, root: int) -> tuple[_Form, list[_Node]]:
     """The walk's transform from f_red to g, the first target on its cycle,
-    which the last of `strides` passed to land j steps after it.
+    which the last of `strides` from f_red passed to land j steps after it;
+    the walk reached `end` after `walked` steps.
 
-    It is head, the strides, and the inverse of g's first j steps, up to the
-    sign of the strides: rho steps from a form with first coefficient a
-    give lambda the sign _walk_sign(a, steps), and a stride from (a, b, c)
-    to (a', b', c') with entry r has the sign of a'r, since lambda is small
-    beside conj(lambda) - lambda = r*sqrt(D)/a.  So only the number of
-    steps from f_red to g is needed, and a walk counts it."""
-    steps = len(head) + _steps_to(end, g, D, root)
+    It is the product of the strides and of the inverse of g's first j
+    steps, up to the sign of the strides: rho steps from a form with first
+    coefficient a give lambda the sign _walk_sign(a, steps), and a stride
+    from (a, b, c) to (a', b', c') with entry r has the sign of a'r, since
+    lambda is small beside conj(lambda) - lambda = r*sqrt(D)/a.  So only
+    the number of steps from f_red to g is needed, and a walk counts it."""
+    steps = walked + _steps_to(end, g, D, root)
     M = _product(shears[:j])
-    sign = _walk_sign(f_red[0], len(head)) * _walk_sign(g[0], j)
-    nodes: list[_Node] = [(f_red, *_apply(head, (1, 0)))]
+    sign = _walk_sign(g[0], j)
     for k, (start, p, r) in enumerate(strides):
         to = strides[k + 1][0] if k + 1 < len(strides) else landing
         sign *= 1 if (to[0] > 0) == (r > 0) else -1
-        nodes.append((start, p, r))
     if sign != _walk_sign(f_red[0], steps):
-        start, p, r = nodes[1]
-        nodes[1] = (start, -p, -r)
-    nodes.append((landing, M[3], -M[2]))  # the first column of inverse(M)
-    return g, nodes
+        start, p, r = strides[0]
+        strides[0] = (start, -p, -r)
+    return g, [*strides, (landing, M[3], -M[2])]  # the first column of inverse(M)
 
 
 def _steps_to(start: _Form, g: _Form, D: int, root: int) -> int:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a successful run (for ``check``, a certificate that
 concludes theorem_applies), 1 for a built certificate whose hypotheses
-fail, 2 for usage errors and out-of-domain queries.
+fail, 2 for usage errors and out-of-domain queries (for ``check``: g < 2,
+or a JSON witness past the int-to-str digit limit); an internal fault
+propagates instead.
 
 Scan rows are emitted in deterministic order (g ascending, then s
 ascending) to the output file or stdout; the one-line summary goes to

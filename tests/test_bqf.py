@@ -678,24 +678,29 @@ def test_giant_strides_match_the_walk(monkeypatch, switch, window):
              and isqrt((g - s) ** 2 - 12 * (g - 1)) ** 2 != (g - s) ** 2 - 12 * (g - 1)]
     monkeypatch.setattr(bqf, "_SWITCH", 10 ** 9)
     walked = _decisions(cells)
-    outcomes = []
+    calls = []
 
     def counted(fn, name):
         def wrapped(*args):
+            calls.append(name)
+            before = len(calls)
             result = fn(*args)
-            outcomes.append((name, result))
+            calls.append((name, result is None, calls[before:].count("landed")))
             return result
         return wrapped
     monkeypatch.setattr(bqf, "_SWITCH", switch)
     monkeypatch.setattr(bqf, "_window_size", lambda D: window)
     monkeypatch.setattr(bqf, "_landed", counted(bqf._landed, "landed"))
+    monkeypatch.setattr(bqf, "_giant", counted(bqf._giant, "giant"))
     monkeypatch.setattr(bqf, "_signed_strides", counted(bqf._signed_strides, "hit"))
     monkeypatch.setattr(bqf, "_walk_on", counted(bqf._walk_on, "walk"))
     assert _decisions(cells) == walked
-    # strides settle hits and closed cycles; the walk takes over on few cells
-    hits = sum(name == "hit" for name, _ in outcomes)
-    closed = sum(name == "landed" and result == (None, True) for name, result in outcomes)
-    walks = sum(name == "walk" for name, _ in outcomes)
+    # strides settle hits and closed cycles; the walk takes over on fewer cells
+    ends = [call for call in calls if isinstance(call, tuple)]
+    hits = sum(name == "hit" for name, _, _ in ends)
+    walks = sum(name == "walk" for name, _, _ in ends)
+    closed = sum(name == "giant" and none and landed for name, none, landed in ends) - sum(
+        name == "walk" and none for name, none, _ in ends)
     assert hits > 300 and closed > 40 and walks < hits + closed
 
 
@@ -714,7 +719,7 @@ def test_giant_strides_stop_at_the_cycle_bound(monkeypatch):
     # (81, 2) until the bound on the cycle length, then fail at once
     monkeypatch.setattr(bqf, "_SWITCH", 16)
     monkeypatch.setattr(bqf, "_window_size", lambda D: 16)
-    monkeypatch.setattr(bqf, "_landed", lambda *args: (None, False))
+    monkeypatch.setattr(bqf, "_landed", lambda *args: (None, None))
     with pytest.raises(RuntimeError, match="internal error"):
         represents(_minus_two_form(81, 2), -1)
 
