@@ -265,30 +265,17 @@ def _rho(form: _Form, D: int, root: int) -> tuple[_Form, int]:
 
 
 def _reduce(form: _Form, D: int, root: int) -> tuple[_Form, _Mat]:
-    """Reduce to a reduced form, tracking the accumulated SL2 transform;
-    _is_reduced and _rho, inlined.
+    """Reduce to a reduced form, tracking the accumulated SL2 transform.
 
     The number of rho steps is logarithmic in |c| / sqrt(D) (Buchmann &
     Vollmer, *Binary Quadratic Forms*, 2007, ch. 6), so the loop needs no cap."""
     p, q, r, t = _IDENTITY
-    a, b, c = form
-    while True:
-        if 0 < b <= root:
-            u = 2 * abs(a)
-            if (u + b) ** 2 > D and (u < b or (u - b) ** 2 < D):
-                return (a, b, c), (p, q, r, t)
-        ac = abs(c)
-        two = 2 * ac
-        if ac > root:
-            bp = (-b) % two
-            if bp > ac:
-                bp -= two
-        else:
-            bp = root - ((root + b) % two)
-        s = (b + bp) // (2 * c)
-        a, b, c = c, bp, (bp * bp - D) // (4 * c)
+    current = form
+    while not _is_reduced(current, D, root):
+        current, s = _rho(current, D, root)
         # times the shear [[0, -1], [1, s]], as in _leaf_product
         p, q, r, t = q, s * q - p, t, s * t - r
+    return current, (p, q, r, t)
 
 
 # Shears per leaf of the product tree.  A leaf is built by direct update,
@@ -400,10 +387,11 @@ def _signed(quotients: list[int], sign: int) -> list[int]:
 # A stride composes a reduced form with a fixed principal form h, reached
 # from (1, B, C) by a walk of the principal cycle, and reduces the
 # composite: it lands on the same cycle about h's distance further on, and
-# the composition gives its transform exactly, up to sign (_stride).  Each
+# the composition gives an exact transform to the landing (_stride).  Each
 # stride is certified, with integers only, to move forward by less than any
 # window of consecutive forms: one at the start of the cycle and one after
-# each reduced target (_certified).  So a stride that passes a window's
+# each reduced target (_certified); shorter than a cycle, its transform is
+# then the walk's up to sign.  So a stride that passes a window's
 # first form lands in that window, the first stride that lands in a
 # target's window has passed the first target met, and a stride that lands
 # in the start's window has gone round the cycle past every target.
@@ -413,7 +401,9 @@ def _signed(quotients: list[int], sign: int) -> list[int]:
 # counts the steps of the walk to the target, with no product, and fixes
 # the sign of the product of the strides from that count (_signed_strides).
 
-_SWITCH = 2048  # walks on the scan-grid benchmark end within 1,905 steps
+# The windows and h cost about 2,000 walk steps (ROADMAP item 3), and the
+# scan-grid benchmark's walks all end within 1,905 steps.
+_SWITCH = 2048
 
 
 def _window_size(D: int) -> int:
