@@ -268,14 +268,20 @@ def _reduce(form: _Form, D: int, root: int) -> tuple[_Form, _Mat]:
     """Reduce to a reduced form, tracking the accumulated SL2 transform.
 
     The number of rho steps is logarithmic in |c| / sqrt(D) (Buchmann &
-    Vollmer, *Binary Quadratic Forms*, 2007, ch. 6), so the loop needs no cap."""
+    Vollmer, *Binary Quadratic Forms*, 2007, ch. 6): while |c| > sqrt(D),
+    |b'| <= |c| gives |c'| = |b'^2 - D|/(4|c|) <= |c|/4; a step from
+    |c| < sqrt(D) gives sqrt(D) - 2|c| < b' < sqrt(D), so a reduced form
+    unless 2|c| > sqrt(D), and then |c'| < sqrt(D)/2 and one more step ends.
+    So fewer than bit_length(|c|) + 4 steps are taken."""
     p, q, r, t = _IDENTITY
     current = form
-    while not _is_reduced(current, D, root):
+    for _ in repeat(None, abs(form[2]).bit_length() + 4):
+        if _is_reduced(current, D, root):
+            return current, (p, q, r, t)
         current, s = _rho(current, D, root)
         # times the shear [[0, -1], [1, s]], as in _leaf_product
         p, q, r, t = q, s * q - p, t, s * t - r
-    return current, (p, q, r, t)
+    raise RuntimeError("internal error: the reduction ran past its bound")
 
 
 # Shears per leaf of the product tree.  A leaf is built by direct update,

@@ -800,3 +800,26 @@ def test_stride_certificate_is_sound_and_not_vacuous():
                         passed += ok
             form = forms[7]
     assert passed > 0.8 * short
+
+
+def test_reduction_ends_within_its_bound():
+    # plain rho steps to a reduced form: at most bit_length(|c|)/2 + 3, under
+    # the bit_length(|c|) + 4 that _reduce allows (see its docstring)
+    rng = random.Random(11)
+    checked = 0
+    for scale_a, scale_c in [(10 ** 6, 10 ** 6), (50, 10 ** 30), (10 ** 40, 10 ** 3)]:
+        for _ in range(700):
+            a, c = rng.randint(-scale_a, scale_a), rng.randint(-scale_c, scale_c)
+            b = rng.randint(-scale_c, scale_c)
+            D = b * b - 4 * a * c
+            if D <= 0 or a == 0 or c == 0 or isqrt(D) ** 2 == D:
+                continue
+            root = isqrt(D)
+            form, steps = (a, b, c), 0
+            while not bqf._is_reduced(form, D, root):
+                form, _ = bqf._rho(form, D, root)
+                steps += 1
+            assert steps <= abs(c).bit_length() // 2 + 3, ((a, b, c), steps)
+            assert bqf._reduce((a, b, c), D, root)[0] == form
+            checked += 1
+    assert checked > 1000
