@@ -678,29 +678,32 @@ def test_giant_strides_match_the_walk(monkeypatch, switch, window):
              and isqrt((g - s) ** 2 - 12 * (g - 1)) ** 2 != (g - s) ** 2 - 12 * (g - 1)]
     monkeypatch.setattr(bqf, "_SWITCH", 10 ** 9)
     walked = _decisions(cells)
-    calls = []
+    log = []
 
-    def counted(fn, name):
+    def logged(name):
+        fn = getattr(bqf, name)
+
         def wrapped(*args):
-            calls.append(name)
-            before = len(calls)
-            result = fn(*args)
-            calls.append((name, result is None, calls[before:].count("landed")))
-            return result
-        return wrapped
+            log.append(name)
+            return fn(*args)
+        monkeypatch.setattr(bqf, name, wrapped)
+    for name in ("_landed", "_signed_strides", "_walk_on"):
+        logged(name)
+    giant = bqf._giant
+
+    def closing(*args):
+        start = len(log)
+        result = giant(*args)
+        calls = log[start:]
+        if result is None and "_landed" in calls and "_walk_on" not in calls:
+            log.append("closed")
+        return result
+    monkeypatch.setattr(bqf, "_giant", closing)
     monkeypatch.setattr(bqf, "_SWITCH", switch)
     monkeypatch.setattr(bqf, "_window_size", lambda D: window)
-    monkeypatch.setattr(bqf, "_landed", counted(bqf._landed, "landed"))
-    monkeypatch.setattr(bqf, "_giant", counted(bqf._giant, "giant"))
-    monkeypatch.setattr(bqf, "_signed_strides", counted(bqf._signed_strides, "hit"))
-    monkeypatch.setattr(bqf, "_walk_on", counted(bqf._walk_on, "walk"))
     assert _decisions(cells) == walked
     # strides settle hits and closed cycles; the walk takes over on fewer cells
-    ends = [call for call in calls if isinstance(call, tuple)]
-    hits = sum(name == "hit" for name, _, _ in ends)
-    walks = sum(name == "walk" for name, _, _ in ends)
-    closed = sum(name == "giant" and none and landed for name, none, landed in ends) - sum(
-        name == "walk" and none for name, none, _ in ends)
+    hits, closed, walks = (log.count(name) for name in ("_signed_strides", "closed", "_walk_on"))
     assert hits > 300 and closed > 40 and walks < hits + closed
 
 
