@@ -249,7 +249,8 @@ def _is_reduced(form: _Form, D: int, root: int) -> bool:
 
 def _rho(form: _Form, D: int, root: int) -> tuple[_Form, int]:
     """One reduction/cycle step; returns the neighbour and the shear s of the
-    applied transform [[0, -1], [1, s]]."""
+    applied transform [[0, -1], [1, s]].  _reduce and the walks inline it;
+    the tests walk with it as their reference."""
     _, b, c = form
     ac = abs(c)
     two = 2 * ac
@@ -265,23 +266,39 @@ def _rho(form: _Form, D: int, root: int) -> tuple[_Form, int]:
 
 
 def _reduce(form: _Form, D: int, root: int) -> tuple[_Form, _Mat]:
-    """Reduce to a reduced form, tracking the accumulated SL2 transform.
+    """Reduce to a reduced form, tracking the accumulated SL2 transform:
+    _is_reduced and _rho, inlined.
 
     The number of rho steps is logarithmic in |c| / sqrt(D) (Buchmann &
     Vollmer, *Binary Quadratic Forms*, 2007, ch. 6): while |c| > sqrt(D),
     |b'| <= |c| gives |c'| = |b'^2 - D|/(4|c|) <= |c|/4; a step from
     |c| < sqrt(D) gives sqrt(D) - 2|c| < b' < sqrt(D), so a reduced form
     unless 2|c| > sqrt(D), and then |c'| < sqrt(D)/2 and one more step ends.
-    So fewer than bit_length(|c|) + 4 steps are taken."""
+    So at most bit_length(|c|) + 4 steps are taken; the bound is worked out
+    only past 40 steps, which no reduction of a |c| under 2^36 takes."""
     p, q, r, t = _IDENTITY
-    current = form
-    for _ in repeat(None, abs(form[2]).bit_length() + 4):
-        if _is_reduced(current, D, root):
-            return current, (p, q, r, t)
-        current, s = _rho(current, D, root)
+    a, b, c = form
+    steps = 0
+    while True:
+        if 0 < b <= root:
+            u = 2 * abs(a)
+            if (u + b) ** 2 > D and (u < b or (u - b) ** 2 < D):
+                return (a, b, c), (p, q, r, t)
+        steps += 1
+        if steps > 40 and steps > abs(form[2]).bit_length() + 4:
+            raise RuntimeError("internal error: the reduction ran past its bound")
+        ac = abs(c)
+        two = 2 * ac
+        if ac > root:
+            bp = (-b) % two
+            if bp > ac:
+                bp -= two
+        else:
+            bp = root - ((root + b) % two)
+        s = (b + bp) // (2 * c)
+        a, b, c = c, bp, (bp * bp - D) // (4 * c)
         # times the shear [[0, -1], [1, s]], as in _leaf_product
         p, q, r, t = q, s * q - p, t, s * t - r
-    raise RuntimeError("internal error: the reduction ran past its bound")
 
 
 # Shears per leaf of the product tree.  A leaf is built by direct update,
@@ -333,39 +350,51 @@ def _cycle_hit(start: _Form, targets: dict[_Form, _Mat], root: int,
     """Walk the reduction cycle of `start`: the first target form met and
     the shears s of the steps [[0, -1], [1, s]] that take `start` to it, or
     None once the walk is back at `start` without a hit.  After `limit`
-    steps with neither, the form reached (not a target) and the shears to
-    it; without a limit the walk stops at _cycle_bound.
+    steps (rounded down to even) with neither, the form reached (not a
+    target) and the shears to it; without a limit the walk stops at
+    _cycle_bound.
 
     A reduced form (a, b, c) has ac < 0 and rho takes it to (c, b', c'), so
     the sign of a alternates.  The walk carries (A, b, C) = (2|a|, b, 2|c|):
     with q = (root + b) // C, rho gives b' = Cq - b, C' = A - q(b' - b) and
-    the shear sign(c)*q.  It records q, rebuilds the signed form only where
-    b' is that of a target or of `start`, and signs the shears at the end."""
+    the shear sign(c)*q.  It takes two steps per pass, with A and C trading
+    places after the first, records q, rebuilds the signed form only where
+    b' is that of a target or of `start` (after the first step of a pass
+    from 2|c| = C' and 4|ac| = D - b'^2), and signs the shears at the end."""
     if start in targets:
         return start, []
     a0, b0, c0 = start
+    D = b0 * b0 - 4 * a0 * c0
     stops = {form[1] for form in targets} | {b0}
     sign = 1 if a0 > 0 else -1  # the sign of a after an even number of steps
     A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
     quotients: list[int] = []
     record = quotients.append
-    for _ in repeat(None, _cycle_bound(root) if limit is None else limit):
+    for _ in repeat(None, (_cycle_bound(root) + 1 if limit is None else limit) // 2):
         q = (root + b) // C
         record(q)
-        bp = C * q - b
-        A, b, C = C, bp, A - q * (bp - b)
-        if b in stops:
-            u = -sign if len(quotients) % 2 else sign
-            form = (u * (A >> 1), b, -u * (C >> 1))
+        b1 = C * q - b
+        A -= q * (b1 - b)
+        if b1 in stops:
+            form = (-sign * ((D - b1 * b1) // A >> 1), b1, sign * (A >> 1))
             if form in targets:
                 return form, _signed(quotients, sign)
             # ends: rho permutes the finite set of reduced forms of discriminant D (B&V ch. 6)
             if form == start:
                 return None
+        q = (root + b1) // A
+        record(q)
+        b = A * q - b1
+        C -= q * (b - b1)
+        if b in stops:
+            form = (sign * (A >> 1), b, -sign * (C >> 1))
+            if form in targets:
+                return form, _signed(quotients, sign)
+            if form == start:
+                return None
     if limit is None:
         raise RuntimeError("internal error: the cycle walk ran past the bound on the cycle length")
-    u = -sign if limit % 2 else sign
-    return (u * (A >> 1), b, -u * (C >> 1)), _signed(quotients, sign)
+    return (sign * (A >> 1), b, -sign * (C >> 1)), _signed(quotients, sign)
 
 
 def _signed(quotients: list[int], sign: int) -> list[int]:
@@ -664,9 +693,8 @@ def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
 
 
 def _steps_to(start: _Form, g: _Form, D: int, root: int) -> int:
-    """The steps of rho from `start` to g, two per pass: after the first
-    of a pass the walk holds C' = 2|c| of the form, whose 2|a| is
-    (D - b^2)/C'."""
+    """The steps of rho from `start` to g, walked as in _cycle_hit but with
+    no record."""
     a0, b0, c0 = start
     sign = 1 if a0 > 0 else -1
     A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
