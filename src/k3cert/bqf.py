@@ -426,10 +426,10 @@ def _signed(quotients: list[int], sign: int) -> list[int]:
 # stride is certified, with integers only, to move forward by less than any
 # window of consecutive forms: one at the start of the cycle and one after
 # each reduced target (_certified); shorter than a cycle, its transform is
-# then the walk's up to sign.  So a stride that passes a window's
-# first form lands in that window, the first stride that lands in a
-# target's window has passed the first target met, and a stride that lands
-# in the start's window has gone round the cycle past every target.
+# then the walk's up to sign.  So a stride that passes a window's first
+# form lands in that window: the first stride that lands in a target's
+# window has passed the first target met, and strides from the start that
+# land in its window again have gone round the cycle past every target.
 #
 # A stride's transform is the walk's only up to sign, and the walk's sign
 # depends on its number of steps mod 4, which no form shows.  So a hit
