@@ -237,7 +237,8 @@ def _matmul(x: _Mat, y: _Mat) -> _Mat:
 
 
 def _is_reduced(form: _Form, D: int, root: int) -> bool:
-    # reduced <=> |sqrt(D) - 2|a|| < b < sqrt(D), decided by exact squarings
+    # reduced <=> |sqrt(D) - 2|a|| < b < sqrt(D), decided by exact squarings;
+    # _reduce inlines it, and the tests check reductions with it
     a, b, _ = form
     if b <= 0 or b > root:
         return False
