@@ -3,10 +3,14 @@
 Exit codes: 0 for a successful run (for ``check``, a certificate that
 concludes theorem_applies), 1 for a built certificate whose hypotheses
 fail, 2 for usage errors and out-of-domain queries (for ``check``: g < 2,
-or a JSON witness past the int-to-str digit limit); an internal fault
-propagates instead.
+or a JSON witness past the int-to-str digit limit; for ``scan``: invalid
+ranges, or an ``--out`` path that cannot be opened for writing, which is
+found before any cell is computed); an internal fault propagates instead.
 
-Scan rows are emitted in deterministic order (g ascending, then s
+A scan makes one pass over its cells.  Each cell's certificate yields a
+row, a plain tuple in CSV_COLUMNS order, and is folded into the summary
+(cell count, theorem_applies count, first maximal gap); then it is
+dropped.  Rows are emitted in deterministic order (g ascending, then s
 ascending) to the output file or stdout; the one-line summary goes to
 stderr so that CSV/JSON payloads stay machine-parseable.  A scan runs in
 one process.  Since rows come out g-ascending, the rows of scans over
@@ -20,9 +24,7 @@ import argparse
 import csv
 import io
 import json
-import operator
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .bqf import QuadraticForm, RepDecision, represents, zero_witness
@@ -31,53 +33,26 @@ from .clifford import CliffordReport
 
 MIN_SCAN_GENUS = 12
 
+CSV_COLUMNS = ("g", "s", "d", "regime", "lemma21_ok", "square_zero_free", "minus_two_method",
+               "clifford_pass", "gamma1", "gamma_E", "gap", "expected_dim", "conclusion")
+
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One scan cell; field values mirror the underlying certificate,
-    with rationals rendered as reduced "p/q" strings."""
-
-    g: int
-    s: int
-    d: int
-    regime: str
-    lemma21_ok: bool
-    square_zero_free: bool
-    minus_two_method: str
-    clifford_pass: bool
-    gamma1: int
-    gamma_E: str
-    gap: str
-    expected_dim: int
-    conclusion: str
-
-
-CSV_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(ScanRow))
-
-
-def scan_row(cert: Certificate) -> ScanRow:
-    return ScanRow(
-        g=cert.g,
-        s=cert.s,
-        d=cert.d,
-        regime=cert.regime,
-        lemma21_ok=cert.lemma21_ok,
-        square_zero_free=cert.square_zero_free,
-        minus_two_method=cert.minus_two.method.value if cert.minus_two else "",
-        clifford_pass=bool(cert.clifford and cert.clifford.passed),
-        gamma1=cert.gamma1,
-        gamma_E=frac_str(cert.gamma_E),
-        gap=frac_str(cert.gap_lower_bound),
-        expected_dim=cert.expected_dim,
-        conclusion=cert.conclusion,
-    )
+def scan_row(cert: Certificate) -> tuple:
+    """The scan row of `cert`: its values in CSV_COLUMNS order, with
+    rationals rendered as reduced "p/q" strings."""
+    return (cert.g, cert.s, cert.d, cert.regime, cert.lemma21_ok, cert.square_zero_free,
+            cert.minus_two.method.value if cert.minus_two else "",
+            bool(cert.clifford and cert.clifford.passed), cert.gamma1,
+            frac_str(cert.gamma_E), frac_str(cert.gap_lower_bound),
+            cert.expected_dim, cert.conclusion)
 
 
 def _csv_cell(value: object) -> str:
+    # identity tests, not a dict or ==: 1 == True and both hash alike
     if value is True:
         return "true"
     if value is False:
@@ -85,41 +60,12 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
-_csv_values = operator.attrgetter(*CSV_COLUMNS)
-
-
-def rows_to_csv(rows: list[ScanRow]) -> str:
+def rows_to_csv(rows: list[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    # identity tests, not a dict or ==: 1 == True and both hash alike
-    writer.writerows(["true" if v is True else "false" if v is False else v
-                      for v in _csv_values(row)] for row in rows)
+    writer.writerows(map(_csv_cell, row) for row in rows)
     return buf.getvalue()
-
-
-def rows_from_csv(text: str) -> list[ScanRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header: {header}")
-    rows = []
-    for record in reader:
-        v = dict(zip(CSV_COLUMNS, record))
-        rows.append(ScanRow(
-            g=int(v["g"]), s=int(v["s"]), d=int(v["d"]),
-            regime=v["regime"],
-            lemma21_ok=v["lemma21_ok"] == "true",
-            square_zero_free=v["square_zero_free"] == "true",
-            minus_two_method=v["minus_two_method"],
-            clifford_pass=v["clifford_pass"] == "true",
-            gamma1=int(v["gamma1"]),
-            gamma_E=v["gamma_E"],
-            gap=v["gap"],
-            expected_dim=int(v["expected_dim"]),
-            conclusion=v["conclusion"],
-        ))
-    return rows
 
 
 def decision_to_dict(dec: RepDecision | None) -> dict | None:
@@ -208,51 +154,42 @@ def scan_cells(g_min: int, g_max: int, s_min: int, s_max: int) -> list[tuple[int
             for s in range(s_min, s_max + 1)]
 
 
-def run_scan(g_min: int, g_max: int, s_min: int, s_max: int) -> list[ScanRow]:
-    return [scan_row(build_certificate(g, s))
-            for g, s in scan_cells(g_min, g_max, s_min, s_max)]
-
-
-def _gap_value(row: ScanRow) -> Fraction:
-    num, den = row.gap.split("/")
-    return Fraction(int(num), int(den))
-
-
-def scan_summary(rows: list[ScanRow]) -> dict:
-    applies = sum(1 for r in rows if r.conclusion == CONCLUSION_APPLIES)
-    # max keeps the first of equal gaps, so ties go to the earliest row
-    max_at = max(rows, key=_gap_value, default=None)
-    return {
+def run_scan(g_min: int, g_max: int, s_min: int, s_max: int) -> tuple[list[tuple], dict]:
+    """The scan rows of the admissible cells, in scan_cells order, and the
+    scan summary: the cell count, the theorem_applies count, and the first
+    cell of maximal gap lower bound.  No certificate outlives its cell."""
+    rows = []
+    applies = 0
+    max_gap = max_at = None
+    for g, s in scan_cells(g_min, g_max, s_min, s_max):
+        cert = build_certificate(g, s)
+        rows.append(scan_row(cert))
+        applies += cert.conclusion == CONCLUSION_APPLIES
+        # strict >, so ties go to the earliest cell
+        if max_gap is None or cert.gap_lower_bound > max_gap:
+            max_gap, max_at = cert.gap_lower_bound, {"g": g, "s": s}
+    summary = {
         "cells": len(rows),
         "theorem_applies": applies,
-        "max_gap": max_at.gap if max_at is not None else None,
-        "max_gap_at": {"g": max_at.g, "s": max_at.s} if max_at is not None else None,
+        "max_gap": frac_str(max_gap) if max_gap is not None else None,
+        "max_gap_at": max_at,
     }
+    return rows, summary
 
 
-def scan_json(rows: list[ScanRow], summary: dict) -> str:
+def scan_json(rows: list[tuple], summary: dict) -> str:
     """The text of json.dumps({"rows": ..., "summary": summary}, indent=2),
-    with one row dict per ScanRow.
+    with one row dict per scan row, keyed by CSV_COLUMNS.
 
     json.dumps runs its pure-Python encoder whenever it indents, so each
     row, whose values are all scalars, goes through the C encoder instead,
     with the newline and indent of its nesting level as the item separator."""
     encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
-    # the same dicts as dataclasses.asdict, whose deep copy of each
-    # scalar field cost about as much as building the rows
-    body = ",\n".join("    {\n      " + encode(dict(zip(CSV_COLUMNS, _csv_values(r))))[1:-1]
+    body = ",\n".join("    {\n      " + encode(dict(zip(CSV_COLUMNS, r)))[1:-1]
                       + "\n    }" for r in rows)
     summary_text = json.dumps(summary, indent=2).replace("\n", "\n  ")
     return ('{\n  "rows": ' + (f"[\n{body}\n  ]" if rows else "[]")
             + ',\n  "summary": ' + summary_text + "\n}\n")
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -280,12 +217,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print("error: invalid ranges (need g_min <= g_max, s_min <= s_max, s_min >= -1)",
               file=sys.stderr)
         return 2
-    rows = run_scan(args.g_min, args.g_max, args.s_min, args.s_max)
-    summary = scan_summary(rows)
-    if args.format == "json":
-        _emit(scan_json(rows, summary), args.out)
-    else:
-        _emit(rows_to_csv(rows), args.out)
+    out = sys.stdout
+    if args.out is not None:
+        # opened before the first cell, so a bad path costs no computation
+        try:
+            out = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
+    try:
+        rows, summary = run_scan(args.g_min, args.g_max, args.s_min, args.s_max)
+        out.write(scan_json(rows, summary) if args.format == "json" else rows_to_csv(rows))
+    finally:
+        if args.out is not None:
+            out.close()
     print(f"scan: {summary['cells']} cells, {summary['theorem_applies']} theorem_applies, "
           f"max gap {summary['max_gap']}", file=sys.stderr)
     return 0

@@ -25,7 +25,7 @@ from k3cert.certify import (
     gap_lower_bound,
     lemma21_check,
 )
-from k3cert.cli import rows_from_csv, rows_to_csv, run_scan, scan_row
+from k3cert.cli import run_scan, scan_row
 from k3cert.clifford import (
     brute_force_min_f,
     constraints,
@@ -231,9 +231,8 @@ def test_criterion_8_invariant_suites():
                     if c1 and c2:
                         assert abs(n) <= rep.bound_n, (g, s, m, n)
 
-        # cli: CSV round-trip reproduces the row sequence exactly
-        rows = run_scan(12, 40, -1, 2)
-        assert rows_from_csv(rows_to_csv(rows)) == rows
+        # cli: a scan yields the rows of its cells' certificates, in order
+        rows, _ = run_scan(12, 40, -1, 2)
         assert rows == [scan_row(build_certificate(g, s))
                         for g in range(12, 41) for s in range(-1, 3)]
 

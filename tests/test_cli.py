@@ -1,20 +1,19 @@
-import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from k3cert import lattice
+from k3cert import cli, lattice
 from k3cert.certify import build_certificate
 from k3cert.cli import (
     CSV_COLUMNS,
+    certificate_to_dict,
     main,
-    rows_from_csv,
+    rows_to_csv,
     run_scan,
     scan_json,
     scan_row,
-    scan_summary,
 )
 
 
@@ -103,22 +102,49 @@ def test_scan_huge_witness_2399_4(capsys):
 def test_scan_csv_stdout_and_roundtrip(capsys):
     assert main(["scan", "--g-min", "12", "--g-max", "24", "--s-min", "-1", "--s-max", "2"]) == 0
     captured = capsys.readouterr()
-    rows = rows_from_csv(captured.out)
     expected = [scan_row(build_certificate(g, s))
                 for g in range(12, 25) for s in range(-1, 3)]
-    assert rows == expected
+    assert captured.out == rows_to_csv(expected)
     assert "theorem_applies" in captured.err
 
 
 def test_scan_row_matches_certificate():
     cert = build_certificate(19, 1)
-    row = scan_row(cert)
-    assert (row.g, row.s, row.d) == (19, 1, 18)
-    assert row.regime == "strong"
-    assert row.minus_two_method == "mod_scan"
-    assert row.clifford_pass is True
-    assert row.gamma_E == "7/1" and row.gap == "2/1"
-    assert row.conclusion == "theorem_applies"
+    row = dict(zip(CSV_COLUMNS, scan_row(cert)))
+    assert (row["g"], row["s"], row["d"]) == (19, 1, 18)
+    assert row["regime"] == "strong"
+    assert row["minus_two_method"] == "mod_scan"
+    assert row["clifford_pass"] is True
+    assert row["gamma_E"] == "7/1" and row["gap"] == "2/1"
+    assert row["conclusion"] == "theorem_applies"
+
+
+def test_scan_row_agrees_with_certificate_dict():
+    # the CSV row schema and the JSON certificate schema read the same values;
+    # the band has a witness cell (14, 1), mod_scan cells, degenerate-discriminant
+    # cells with an empty method, and outside-regime cells
+    cells = [(g, s) for g in range(12, 21) for s in range(-1, 3)]
+    methods = set()
+    regimes = set()
+    for g, s in cells:
+        cert = build_certificate(g, s)
+        assert len(scan_row(cert)) == len(CSV_COLUMNS)
+        row = dict(zip(CSV_COLUMNS, scan_row(cert)))
+        full = certificate_to_dict(cert)
+        for key in ("g", "s", "d", "regime", "lemma21_ok", "square_zero_free", "gamma1",
+                    "gamma_E", "expected_dim", "conclusion"):
+            assert row[key] == full[key] and type(row[key]) is type(full[key]), (g, s, key)
+        assert row["gap"] == full["gap_lower_bound"]
+        mt = full["minus_two"]
+        assert row["minus_two_method"] == (mt["method"] if mt is not None else "")
+        cl = full["clifford"]
+        assert row["clifford_pass"] is (cl is not None and cl["passed"])
+        methods.add(row["minus_two_method"])
+        regimes.add(row["regime"])
+        if (g, s) == (14, 1):
+            assert mt["status"] == "witness" and mt["method"] == "pell_search"
+    assert {"mod_scan", "pell_search", ""} <= methods
+    assert "outside" in regimes
 
 
 def test_scan_csv_file_output(tmp_path, capsys):
@@ -130,7 +156,20 @@ def test_scan_csv_file_output(tmp_path, capsys):
     assert b"\r" not in data  # LF line endings
     text = data.decode("utf-8")
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
-    assert rows_from_csv(text) == run_scan(12, 16, -1, 0)
+    assert text == rows_to_csv(run_scan(12, 16, -1, 0)[0])
+
+
+def test_scan_out_unwritable_exits_two_before_any_cell(tmp_path, monkeypatch, capsys):
+    def fail(g, s):
+        raise AssertionError("a cell was computed")
+    monkeypatch.setattr(cli, "build_certificate", fail)
+    out = tmp_path / "missing" / "rows.csv"
+    assert main(["scan", "--g-min", "12", "--g-max", "13", "--s-min", "-1", "--s-max", "0",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
 
 
 def test_scan_json_payload(capsys):
@@ -146,13 +185,12 @@ def test_scan_json_payload(capsys):
 
 @pytest.mark.parametrize("band", [(5, 9, -1, 3), (12, 40, -1, 10)], ids=["empty", "witness"])
 def test_scan_json_matches_indented_dumps(band):
-    rows = run_scan(*band)
+    rows, summary = run_scan(*band)
     # the empty scan, and a band with witness rows ((14, 1) among them)
-    decisions = [build_certificate(r.g, r.s).minus_two for r in rows]
+    decisions = [build_certificate(g, s).minus_two for g, s, *_ in rows]
     witnesses = [dec for dec in decisions if dec is not None and dec.witness]
     assert bool(witnesses) is bool(rows)
-    summary = scan_summary(rows)
-    payload = {"rows": [dataclasses.asdict(r) for r in rows], "summary": summary}
+    payload = {"rows": [dict(zip(CSV_COLUMNS, row)) for row in rows], "summary": summary}
     assert scan_json(rows, summary) == json.dumps(payload, indent=2) + "\n"
 
 
@@ -170,18 +208,19 @@ def test_scan_invalid_ranges_exit_two(capsys):
 
 
 def test_scan_summary_counts():
-    rows = run_scan(19, 19, -1, 1)
-    summary = scan_summary(rows)
+    gap = CSV_COLUMNS.index("gap")
+    rows, summary = run_scan(19, 19, -1, 1)
     assert summary["cells"] == 3
     assert summary["max_gap"] == "2/1"
     assert summary["max_gap_at"] == {"g": 19, "s": 1}
     # gaps 2/1, 3/2, 2/1: the first of the tied maxima is reported
-    rows = run_scan(19, 21, 1, 1)
-    assert [r.gap for r in rows] == ["2/1", "3/2", "2/1"]
-    summary = scan_summary(rows)
+    rows, summary = run_scan(19, 21, 1, 1)
+    assert [r[gap] for r in rows] == ["2/1", "3/2", "2/1"]
+    assert summary["theorem_applies"] == 2
     assert summary["max_gap"] == "2/1"
     assert summary["max_gap_at"] == {"g": 19, "s": 1}
-    assert scan_summary([])["max_gap"] is None
+    assert run_scan(5, 9, -1, 3) == ([], {"cells": 0, "theorem_applies": 0,
+                                          "max_gap": None, "max_gap_at": None})
 
 
 def test_form_obstructed(capsys):
