@@ -8,9 +8,7 @@ from .bqf import (
     RepDecision,
     integer_sqrt,
     modular_obstruction,
-    pell_fundamental,
     represents,
-    represents_zero_nontrivially,
     zero_witness,
 )
 from .certify import (

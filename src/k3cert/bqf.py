@@ -32,13 +32,14 @@ multiplying one shear at a time is quadratic.
 
 A walk that has not ended after _SWITCH steps goes on with giant strides
 (baby steps and giant steps on the cycle's infrastructure, Shanks 1972):
-composition with a fixed principal form and reduction jump about a window's
-length of the cycle at once, with an exact transform, and a stride that
-lands in a window of consecutive forms after a target, or at the start of
-the cycle, settles the walk.  A stride's transform is the walk's only up
-to sign, which depends on the number of steps mod 4, so a hit still counts
-its steps with a walk that multiplies nothing, and the witness is
-assembled from the strides in a balanced product tree in Q(sqrt(D)).
+composition with the principal form three quarters of a window along the
+principal cycle, and reduction, jump that far along the cycle at once, with
+an exact transform.  Each target, and the start of the cycle, has one window
+of consecutive forms, and a stride that lands in one settles the walk.  A
+stride's transform is the walk's only up to sign, which depends on the
+number of steps mod 4, so a hit still counts its steps with a walk that
+multiplies nothing, and the witness is assembled from the strides in a
+balanced product tree in Q(sqrt(D)).
 """
 
 from __future__ import annotations
@@ -169,11 +170,6 @@ def zero_witness(f: QuadraticForm) -> tuple[int, int] | None:
     return (m, n)
 
 
-def represents_zero_nontrivially(f: QuadraticForm) -> bool:
-    """True when Q(m, n) = 0 for some (m, n) != (0, 0)."""
-    return zero_witness(f) is not None
-
-
 def modular_obstruction(f: QuadraticForm, t: int,
                         moduli: Sequence[int] = DEFAULT_MODULI) -> int | None:
     """First modulus k for which Q(m, n) = t (mod k) has no solution, if any.
@@ -201,30 +197,6 @@ def _residue_hit(k: int, a: int, b: int, c: int, want: int) -> bool:
             if (am2 + (bm + c * n) * n) % k == want:
                 return True
     return False
-
-
-def pell_fundamental(D: int) -> tuple[int, int]:
-    """Least x, y > 0 with x^2 - D*y^2 = 1, for D > 0 nonsquare.
-
-    Computed from the periodic continued fraction of sqrt(D); every
-    convergent is tested exactly, so the first hit is the fundamental
-    solution.
-    """
-    if D <= 0:
-        raise ValueError(f"pell_fundamental requires D > 0, got {D}")
-    a0 = isqrt(D)
-    if a0 * a0 == D:
-        raise ValueError(f"pell_fundamental requires a nonsquare D, got {D}")
-    m, den, a = 0, 1, a0
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    while p * p - D * q * q != 1:
-        m = den * a - m
-        den = (D - m * m) // den
-        a = (a0 + m) // den
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    return p, q
 
 
 # -- reduction machinery for indefinite forms (nonsquare D > 0) --------------
@@ -420,9 +392,9 @@ def _signed(quotients: list[int], sign: int) -> list[int]:
 # its distance -ln|lambda| grows by less than the cycle's ln(eps) before
 # the walk is back where it started.
 #
-# A stride composes a reduced form with a fixed principal form h, reached
-# from (1, B, C) by a walk of the principal cycle, and reduces the
-# composite: it lands on the same cycle about h's distance further on, and
+# A stride composes a reduced form with the principal form h that is three
+# quarters of a window along the cycle of the reduced (1, B, C), and reduces
+# the composite: it lands on the same cycle about h's distance further on, and
 # the composition gives an exact transform to the landing (_stride).  Each
 # stride is certified, with integers only, to move forward by less than any
 # window of consecutive forms: one at the start of the cycle and one after
@@ -496,15 +468,6 @@ def _reach(start: _Form, end: _Form, shears: Sequence[int], root: int) -> int:
     return (abs(r) * root - abs(start[0])) // abs(end[0])
 
 
-def _negated(form: _Form) -> _Form:
-    """(a, b, c) -> (-a, b, -c), which commutes with rho and negates its shear."""
-    return (-form[0], form[1], -form[2])
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % p for p in range(2, isqrt(n) + 1))
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -568,7 +531,7 @@ def _walk_sign(a: int, steps: int) -> int:
 
 
 _Node = tuple[_Form, int, int]  # a transform: its start form and first column
-_Window = tuple[dict[int, int], int, _Form, list[int]]  # keys -> step, sign, target, shears
+_Window = tuple[dict[int, int], _Form, list[int]]  # keys -> step, target, shears
 
 
 def _landed(landing: _Form, windows: list[_Window], start: dict[int, int],
@@ -576,12 +539,11 @@ def _landed(landing: _Form, windows: list[_Window], start: dict[int, int],
     """Where a stride landed: the (step, target, shears) of the target
     window that holds `landing` furthest from its target, whose target is
     then the first met, or None; and its step in the window at the start
-    of the cycle, or None.  A window of sign -1 holds the negated forms of
-    its keys."""
+    of the cycle, or None."""
     a, b, _ = landing
-    met = max(((win[a * sign * K2 + b], g, shears) for win, sign, g, shears in windows
-               if a * sign * K2 + b in win), default=None)
-    return met, start.get(a * K2 + b)
+    key = a * K2 + b
+    met = max(((win[key], g, shears) for win, g, shears in windows if key in win), default=None)
+    return met, start.get(key)
 
 
 def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat],
@@ -597,36 +559,28 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
         return _walk_on(f_red, head, end, targets, root)
     W = min(_window_size(D), len(head))
     K2 = 2 * (root + 1)
-    fkeys = _window(f_red, W, root)[0]
+    fkeys, _, f_last, _ = _window(f_red, W, root)
     start_keys = dict(zip(fkeys, range(len(fkeys))))
-    reach = _reach(f_red, _unkey(fkeys[-1], K2, D), head[:W], root)
-    # the principal cycle from the reduced (1, B, C): h, and the window of a
-    # target on it or on its negation
-    B = D & 1
-    p_red, m_p = _reduce((1, B, (B * B - D) // 4), D, root)
-    pkeys, pshears, p_last, p_closed = _window(p_red, W, root)
+    reach = _reach(f_red, f_last, head[:W], root)
     windows: list[_Window] = []
     for g in targets:
-        if p_red in (g, _negated(g)):
-            if not p_closed:  # else its cycle is shorter than f_red's
-                sign = 1 if g == p_red else -1
-                windows.append((dict(zip(pkeys, range(len(pkeys)))), sign, g,
-                                pshears if sign > 0 else [-s for s in pshears]))
-                reach = min(reach, _reach(p_red, p_last, pshears, root))
-            continue
         gkeys, gshears, g_last, g_closed = _window(g, W, root)
         if not g_closed:  # else its cycle is shorter than f_red's
-            windows.append((dict(zip(gkeys, range(len(gkeys)))), 1, g, gshears))
+            windows.append((dict(zip(gkeys, range(len(gkeys)))), g, gshears))
             reach = min(reach, _reach(g, g_last, gshears, root))
     if not windows:
         return None
+    # h is the form n_h steps along the principal cycle from the reduced
+    # (1, B, C), with the transform to it from (1, B, C); a principal cycle
+    # of at most n_h steps gives no h
     n_h = 3 * W // 4
-    if len(pkeys) <= n_h:
+    B = D & 1
+    p_red, m_p = _reduce((1, B, (B * B - D) // 4), D, root)
+    pkeys, pshears, _, p_closed = _window(p_red, n_h, root)
+    if p_closed:
         return _walk_on(f_red, head, end, targets, root)
-    # a prime |a| keeps gcd(a, a_h) = 1 in _stride, its fast case
-    n_h = next((n for n in range(n_h, n_h // 2, -1) if _is_prime(abs(pkeys[n] // K2))), n_h)
     h = _unkey(pkeys[n_h], K2, D)
-    M = _matmul(m_p, _product(pshears[:n_h]))
+    M = _matmul(m_p, _product(pshears))
     lam = (2 * M[0] + M[2] * B, -M[2])
     # strides from f_red, so that the walk's head is not multiplied out.  A
     # landing in the start window is still on its first pass when none has
@@ -789,7 +743,7 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     are re-checked exactly before being handed back.
     """
     if t == 0:
-        raise ValueError("target 0 is decided by represents_zero_nontrivially")
+        raise ValueError("target 0 is decided by zero_witness")
     if abs(t) > 2:
         raise ValueError(f"complete decision covers |t| in {{1, 2}} only, got {t}")
 

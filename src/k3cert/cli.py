@@ -219,14 +219,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return 2
     out = sys.stdout
     if args.out is not None:
-        # opened before the first cell, so a bad path costs no computation
+        # opened before the first cell, so a bad path costs no computation, and
+        # emptied only at the write, so a failed scan leaves the file as it was
         try:
-            out = open(args.out, "w", encoding="utf-8", newline="")
+            out = open(args.out, "a", encoding="utf-8", newline="")
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     try:
         rows, summary = run_scan(args.g_min, args.g_max, args.s_min, args.s_max)
+        if args.out is not None:
+            out.truncate(0)
         out.write(scan_json(rows, summary) if args.format == "json" else rows_to_csv(rows))
     finally:
         if args.out is not None:

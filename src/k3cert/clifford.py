@@ -97,16 +97,6 @@ class CliffordReport:
     passed: bool
 
 
-def _floor_div_sqrt(num: int, n: int) -> int:
-    """floor(num / sqrt(n)) for num >= 0 and n > 0 nonsquare."""
-    k = isqrt(num * num // n)
-    while (k + 1) * (k + 1) * n <= num * num:
-        k += 1
-    while k > 0 and k * k * n > num * num:
-        k -= 1
-    return k
-
-
 def verify_clifford(cfg: K3Config) -> CliffordReport:
     """Certified exact minimization of f over the full constraint region.
 
@@ -133,7 +123,8 @@ def verify_clifford(cfg: K3Config) -> CliffordReport:
     target = (g - 1) // 2
     if d <= 4:
         return CliffordReport(None, None, 0, 0, target, True)
-    bound_n = _floor_div_sqrt(d - 2, gap) + 1
+    # floor((d-2)/R) = isqrt(floor((d-2)^2/R^2)), as floor(sqrt(x)) = isqrt(floor(x))
+    bound_n = isqrt((d - 2) ** 2 // gap) + 1
     best_val: int | None = None
     best_m = best_n = 0
     region = 0

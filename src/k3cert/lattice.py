@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bqf import QuadraticForm, RepDecision, represents, represents_zero_nontrivially
+from .bqf import QuadraticForm, RepDecision, represents, zero_witness
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def minus_two_form(cfg: K3Config) -> QuadraticForm:
 
 def square_zero_status(cfg: K3Config) -> bool:
     """True when some nonzero class D has D.D = 0 (an isotropic class)."""
-    return represents_zero_nontrivially(square_zero_form(cfg))
+    return zero_witness(square_zero_form(cfg)) is not None
 
 
 def minus_two_status(cfg: K3Config) -> RepDecision:

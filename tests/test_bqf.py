@@ -17,9 +17,7 @@ from k3cert.bqf import (
     RepDecision,
     integer_sqrt,
     modular_obstruction,
-    pell_fundamental,
     represents,
-    represents_zero_nontrivially,
     zero_witness,
 )
 
@@ -82,10 +80,10 @@ def test_zero_witness_examples():
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
 def test_zero_decision_vs_brute(a, b, c):
     f = QuadraticForm(a, b, c)
-    has_zero = represents_zero_nontrivially(f)
+    w = zero_witness(f)
+    has_zero = w is not None
     if has_zero:
-        w = zero_witness(f)
-        assert w is not None and w != (0, 0) and f.evaluate(*w) == 0
+        assert w != (0, 0) and f.evaluate(*w) == 0
     found = brute_find(f, 0, 40)
     if found is not None:
         assert has_zero, (f, found)
@@ -97,9 +95,8 @@ def test_isotropic_constructions_have_witness(a, b, m0):
     # c chosen so that (m0, 1) is a zero; the decision must say yes
     c = -a * m0 * m0 - b * m0
     f = QuadraticForm(a, b, c)
-    assert represents_zero_nontrivially(f)
     w = zero_witness(f)
-    assert w != (0, 0) and f.evaluate(*w) == 0
+    assert w is not None and w != (0, 0) and f.evaluate(*w) == 0
 
 
 # -- modular obstructions -----------------------------------------------------
@@ -160,7 +157,74 @@ def test_memoised_residue_test_matches_plain_double_loop():
             modular_obstruction(f, 1, moduli)
 
 
-# -- Pell fundamental solutions -----------------------------------------------
+# -- complete representability decision ---------------------------------------
+
+def test_represents_named_examples():
+    dec = represents(QuadraticForm(3, 7, 3), -1)
+    assert dec.status is DecisionStatus.WITNESS
+    assert QuadraticForm(3, 7, 3).evaluate(*dec.witness) == -1
+    assert dec.method is DecisionMethod.PELL_SEARCH
+
+    dec = represents(QuadraticForm(3, 11, -9), -1)
+    assert dec.status is DecisionStatus.NONE_PROVED
+    assert dec.method is DecisionMethod.PELL_SEARCH
+
+    dec = represents(QuadraticForm(3, 12, 12), -1)
+    assert dec.status is DecisionStatus.OBSTRUCTED_MOD and dec.modulus == 3
+    assert dec.method is DecisionMethod.MOD_SCAN
+
+    dec = represents(QuadraticForm(3, 15, 15), -1)
+    assert dec.status is DecisionStatus.OBSTRUCTED_MOD and dec.modulus == 3
+
+
+def test_represents_known_witnesses():
+    # forms with solutions found by hand; the decision must find some witness
+    for coeffs, t in [((3, 13, 13), -1), ((3, 13, 11), -1), ((3, 20, 19), -1),
+                      ((3, 27, 35), -1), ((5, 1, -21), 1), ((5, 1, -21), -1)]:
+        f = QuadraticForm(*coeffs)
+        dec = represents(f, t)
+        assert dec.status is DecisionStatus.WITNESS, (coeffs, t, dec)
+        assert f.evaluate(*dec.witness) == t
+
+
+def test_represents_preconditions():
+    with pytest.raises(ValueError):
+        represents(QuadraticForm(3, 7, 3), 0)
+    with pytest.raises(ValueError):
+        represents(QuadraticForm(3, 7, 3), 5)
+    with pytest.raises(ValueError):
+        # positive definite and no modular obstruction for t = 2
+        represents(QuadraticForm(1, 0, 1), 2)
+    with pytest.raises(ValueError):
+        # square discriminant (no modular obstruction for t = 1)
+        represents(QuadraticForm(1, 3, 2), 1)
+
+
+# -- Pell fundamental solutions, for the fundamental-region oracle -------------
+
+def pell_fundamental(D: int) -> tuple[int, int]:
+    """Least x, y > 0 with x^2 - D*y^2 = 1, for D > 0 nonsquare.
+
+    Computed from the periodic continued fraction of sqrt(D); every
+    convergent is tested exactly, so the first hit is the fundamental
+    solution.
+    """
+    if D <= 0:
+        raise ValueError(f"pell_fundamental requires D > 0, got {D}")
+    a0 = isqrt(D)
+    if a0 * a0 == D:
+        raise ValueError(f"pell_fundamental requires a nonsquare D, got {D}")
+    m, den, a = 0, 1, a0
+    p_prev, p = 1, a0
+    q_prev, q = 0, 1
+    while p * p - D * q * q != 1:
+        m = den * a - m
+        den = (D - m * m) // den
+        a = (a0 + m) // den
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return p, q
+
 
 def test_pell_examples():
     assert pell_fundamental(2) == (3, 2)
@@ -212,49 +276,6 @@ def test_pell_fundamental_minimality_up_to_500():
                 else:
                     hi = mid - 1
             k += 1
-
-
-# -- complete representability decision ---------------------------------------
-
-def test_represents_named_examples():
-    dec = represents(QuadraticForm(3, 7, 3), -1)
-    assert dec.status is DecisionStatus.WITNESS
-    assert QuadraticForm(3, 7, 3).evaluate(*dec.witness) == -1
-    assert dec.method is DecisionMethod.PELL_SEARCH
-
-    dec = represents(QuadraticForm(3, 11, -9), -1)
-    assert dec.status is DecisionStatus.NONE_PROVED
-    assert dec.method is DecisionMethod.PELL_SEARCH
-
-    dec = represents(QuadraticForm(3, 12, 12), -1)
-    assert dec.status is DecisionStatus.OBSTRUCTED_MOD and dec.modulus == 3
-    assert dec.method is DecisionMethod.MOD_SCAN
-
-    dec = represents(QuadraticForm(3, 15, 15), -1)
-    assert dec.status is DecisionStatus.OBSTRUCTED_MOD and dec.modulus == 3
-
-
-def test_represents_known_witnesses():
-    # forms with solutions found by hand; the decision must find some witness
-    for coeffs, t in [((3, 13, 13), -1), ((3, 13, 11), -1), ((3, 20, 19), -1),
-                      ((3, 27, 35), -1), ((5, 1, -21), 1), ((5, 1, -21), -1)]:
-        f = QuadraticForm(*coeffs)
-        dec = represents(f, t)
-        assert dec.status is DecisionStatus.WITNESS, (coeffs, t, dec)
-        assert f.evaluate(*dec.witness) == t
-
-
-def test_represents_preconditions():
-    with pytest.raises(ValueError):
-        represents(QuadraticForm(3, 7, 3), 0)
-    with pytest.raises(ValueError):
-        represents(QuadraticForm(3, 7, 3), 5)
-    with pytest.raises(ValueError):
-        # positive definite and no modular obstruction for t = 2
-        represents(QuadraticForm(1, 0, 1), 2)
-    with pytest.raises(ValueError):
-        # square discriminant (no modular obstruction for t = 1)
-        represents(QuadraticForm(1, 3, 2), 1)
 
 
 def _fundamental_region_solvable(f: QuadraticForm, t: int):
@@ -669,16 +690,10 @@ def _decisions(cells):
     return [represents(_minus_two_form(g, s), -1) for g, s in cells]
 
 
-@pytest.mark.parametrize("switch, window", [(16, 16), (32, 32), (48, 48), (64, 24)])
-def test_giant_strides_match_the_walk(monkeypatch, switch, window):
-    # with the switch lowered, strides decide most open cells of g < 260:
-    # every decision, witness and sign included, is the walk's
-    cells = [(g, s) for g in range(2, 260) for s in range(-3, 40)
-             if (g - s) ** 2 > 12 * (g - 1)
-             and isqrt((g - s) ** 2 - 12 * (g - 1)) ** 2 != (g - s) ** 2 - 12 * (g - 1)]
-    monkeypatch.setattr(bqf, "_SWITCH", 10 ** 9)
-    walked = _decisions(cells)
-    log = []
+def _log_strides(monkeypatch) -> list[str]:
+    """Log each call of _landed, _signed_strides and _walk_on, and "closed"
+    where _giant proves a closed cycle by landings, with no walk."""
+    log: list[str] = []
 
     def logged(name):
         fn = getattr(bqf, name)
@@ -699,6 +714,19 @@ def test_giant_strides_match_the_walk(monkeypatch, switch, window):
             log.append("closed")
         return result
     monkeypatch.setattr(bqf, "_giant", closing)
+    return log
+
+
+@pytest.mark.parametrize("switch, window", [(16, 16), (32, 32), (48, 48), (64, 24)])
+def test_giant_strides_match_the_walk(monkeypatch, switch, window):
+    # with the switch lowered, strides decide most open cells of g < 260:
+    # every decision, witness and sign included, is the walk's
+    cells = [(g, s) for g in range(2, 260) for s in range(-3, 40)
+             if (g - s) ** 2 > 12 * (g - 1)
+             and isqrt((g - s) ** 2 - 12 * (g - 1)) ** 2 != (g - s) ** 2 - 12 * (g - 1)]
+    monkeypatch.setattr(bqf, "_SWITCH", 10 ** 9)
+    walked = _decisions(cells)
+    log = _log_strides(monkeypatch)
     monkeypatch.setattr(bqf, "_SWITCH", switch)
     monkeypatch.setattr(bqf, "_window_size", lambda D: window)
     assert _decisions(cells) == walked
@@ -712,9 +740,19 @@ def test_giant_strides_match_the_walk_on_small_forms(monkeypatch):
                if abs(form[0]) <= 8 and abs(form[2]) <= 8 for t in (-2, -1, 1, 2)]
     monkeypatch.setattr(bqf, "_SWITCH", 10 ** 9)
     walked = [represents(f, t) for f, t in queries]
+    log = _log_strides(monkeypatch)
     monkeypatch.setattr(bqf, "_SWITCH", 4)
     monkeypatch.setattr(bqf, "_window_size", lambda D: 4)
-    assert [represents(f, t) for f, t in queries] == walked
+    strided = []
+    settled = {t: [0, 0] for t in (-2, -1, 1, 2)}
+    for f, t in queries:
+        start = len(log)
+        strided.append(represents(f, t))
+        settled[t][0] += log[start:].count("_signed_strides")
+        settled[t][1] += log[start:].count("closed")
+    assert strided == walked
+    # for every target sign, strides settle hits and landings close cycles
+    assert all(hits >= 1 and closed >= 1 for hits, closed in settled.values()), settled
 
 
 def test_giant_strides_stop_at_the_cycle_bound(monkeypatch):
@@ -826,3 +864,72 @@ def test_reduction_ends_within_its_bound():
             assert bqf._reduce((a, b, c), D, root)[0] == form
             checked += 1
     assert checked > 1000
+
+
+# -- continued-fraction oracle for the (-2) decision ----------------------------
+
+def _cf_minus_two(g: int, s: int) -> bool:
+    """Independent oracle: True when 3m^2 + dmn + (g-1)n^2 = -1, d = g - s, has
+    an integer solution, for Delta = d^2 - 12(g-1) > 144 nonsquare.  It uses
+    no form reduction, no targets, no strides and no genus test.
+
+    12*Q(m, n) = (6m + dn)^2 - Delta*n^2, so Q = -1 exactly when
+    x^2 - Delta*y^2 = -12 with x = dy (mod 6).  gcd(x, y)^2 divides 12, so
+    (x, y) is primitive, or (2X, 2Y) with X^2 - Delta*Y^2 = -3 primitive and
+    X = dY (mod 3).  As 12 < sqrt(Delta), every positive primitive solution of
+    X^2 - Delta*Y^2 = N with |N| <= 12 is a convergent p_k/q_k of sqrt(Delta)
+    (Lagrange; Niven, Zuckerman & Montgomery, 5th ed., Thm 7.24), and
+    p_k^2 - Delta*q_k^2 = (-1)^(k+1) Q_(k+1) in the expansion by (P_k, Q_k).
+    The signs of x and y make the congruence x = +-dy on |x|, |y|.
+
+    The walk keeps p and q mod 6 only and stops at the first repeat of the
+    state (P, Q, the residues, the parity of k), after which nothing new
+    comes.  A step can be undone on these states, so that repeat is of the
+    first state."""
+    d = g - s
+    D = d * d - 12 * (g - 1)
+    assert D > 144 and isqrt(D) ** 2 != D
+    a0 = isqrt(D)
+    P, Q, even = 0, 1, True
+    p, p1, q, q1 = 1, 0, 0, 1  # p_(k-1), p_(k-2), q_(k-1), q_(k-2) mod 6
+    first = None
+    while True:
+        a = (a0 + P) // Q
+        p, p1 = (a * p + p1) % 6, p
+        q, q1 = (a * q + q1) % 6, q
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if even and Q in (3, 12):  # p_k^2 - Delta*q_k^2 = -Q
+            mod = 6 if Q == 12 else 3
+            if (p - d * q) % mod == 0 or (p + d * q) % mod == 0:
+                return True
+        even = not even
+        state = (P, Q, p, p1, q, q1, even)
+        if first is None:
+            first = state
+        elif state == first:
+            return False
+
+
+def _witness_cell(g: int, s: int) -> bool:
+    return represents(_minus_two_form(g, s), -1).status is DecisionStatus.WITNESS
+
+
+@pytest.mark.parametrize("cell, witness", [
+    ((100135, 2), True), ((100003, 2), False),
+    # check-witness cells whose walks pass the switch
+    ((28379, 6), True), ((28989, 2), True), ((25381, 3), True),
+    ((12007, 0), True), ((7393, 2), True), ((13907, 6), True),
+])
+def test_cf_oracle_matches_represents_on_named_cells(cell, witness):
+    assert _cf_minus_two(*cell) is witness
+    assert _witness_cell(*cell) is witness
+
+
+def test_cf_oracle_matches_represents_past_the_switch(monkeypatch):
+    # every cell of the band has Delta > 144, and some walks there pass the
+    # switch: giant strides settle both hits and closed cycles
+    cells = [(g, s) for g in range(4000, 4100) for s in range(-1, 11)]
+    log = _log_strides(monkeypatch)
+    assert [_witness_cell(g, s) for g, s in cells] == [_cf_minus_two(g, s) for g, s in cells]
+    assert "_signed_strides" in log and "closed" in log

@@ -149,6 +149,7 @@ def test_scan_row_agrees_with_certificate_dict():
 
 def test_scan_csv_file_output(tmp_path, capsys):
     out = tmp_path / "rows.csv"
+    out.write_bytes(b"an older, longer file\n" * 1000)  # replaced, not appended to
     assert main(["scan", "--g-min", "12", "--g-max", "16", "--s-min", "-1", "--s-max", "0",
                  "--out", str(out)]) == 0
     capsys.readouterr()
@@ -170,6 +171,19 @@ def test_scan_out_unwritable_exits_two_before_any_cell(tmp_path, monkeypatch, ca
     assert captured.out == ""
     assert captured.err == f"error: cannot write {out}: No such file or directory\n"
     assert not out.parent.exists()
+
+
+def test_failed_scan_leaves_the_out_file_as_it_was(tmp_path, monkeypatch, capsys):
+    def fail(g, s):
+        raise RuntimeError("internal error: a cell failed")
+    monkeypatch.setattr(cli, "build_certificate", fail)
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"g,s\n12,-1\n")
+    with pytest.raises(RuntimeError, match="a cell failed"):
+        main(["scan", "--g-min", "12", "--g-max", "13", "--s-min", "-1", "--s-max", "0",
+              "--out", str(out)])
+    assert out.read_bytes() == b"g,s\n12,-1\n"
+    assert capsys.readouterr().out == ""
 
 
 def test_scan_json_payload(capsys):

@@ -157,6 +157,10 @@ def test_verify_clifford_matches_oracle(cfg):
     bru = brute_force_min_f(cfg, radius)
     assert (rep.min_value, rep.argmin, rep.region_size, rep.passed) == (
         bru.min_value, bru.argmin, bru.region_size, bru.passed)
+    if cfg.d > 4:
+        # bound_n - 1 is floor((d - 2)/sqrt(gap)), the finiteness bound on |n|
+        k, gap = rep.bound_n - 1, cfg.delta
+        assert k * k * gap <= (cfg.d - 2) ** 2 < (k + 1) ** 2 * gap
 
 
 @pytest.mark.parametrize("g, s, expected", [
