@@ -49,7 +49,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, isqrt, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 DEFAULT_MODULI: tuple[int, ...] = (3, 4, 5, 8, 9, 16)
 
@@ -108,8 +108,7 @@ class DecisionMethod(Enum):
     PELL_SEARCH = "pell_search"
 
 
-@dataclass(frozen=True)
-class RepDecision:
+class RepDecision(NamedTuple):
     """Outcome of a representability query, with its supporting evidence."""
 
     status: DecisionStatus
@@ -127,11 +126,11 @@ class RepDecision:
 
     @classmethod
     def witness_of(cls, m: int, n: int) -> "RepDecision":
-        return cls(DecisionStatus.WITNESS, witness=(m, n))
+        return cls(DecisionStatus.WITNESS, (m, n))
 
     @classmethod
     def obstructed(cls, modulus: int) -> "RepDecision":
-        return cls(DecisionStatus.OBSTRUCTED_MOD, modulus=modulus)
+        return cls(DecisionStatus.OBSTRUCTED_MOD, None, modulus)
 
     @classmethod
     def none_proved(cls) -> "RepDecision":
@@ -178,11 +177,14 @@ def modular_obstruction(f: QuadraticForm, t: int,
     t is not represented over the integers.  The answer for one k depends
     only on the coefficients and t mod k, so it is memoised on those
     residues: a scan of K3 cells meets at most 451 distinct keys over
-    DEFAULT_MODULI.
+    DEFAULT_MODULI.  A modulus below 2 raises ValueError before any modulus
+    is scanned; DEFAULT_MODULI is known valid and is not re-checked.
     """
+    if moduli is not DEFAULT_MODULI:
+        small = [k for k in moduli if k < 2]
+        if small:
+            raise ValueError(f"moduli must be >= 2, got {small[0]}")
     for k in moduli:
-        if k < 2:
-            raise ValueError(f"moduli must be >= 2, got {k}")
         if not _residue_hit(k, f.a % k, f.b % k, f.c % k, t % k):
             return k
     return None

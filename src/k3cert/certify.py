@@ -11,11 +11,11 @@ asserts exactly that every numerical hypothesis has been verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bqf import DecisionStatus, RepDecision, int_text, integer_sqrt
-from .clifford import CliffordReport, gamma, verify_clifford
+from .clifford import CliffordReport, verify_clifford
 from .lattice import K3Config, minus_two_status
 
 REGIME_STRONG = "strong"
@@ -72,8 +72,7 @@ def decide_conclusion(regime: str, lemma21_ok: bool, square_zero_free: bool,
     return CONCLUSION_APPLIES if ok else CONCLUSION_FAILS
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Full verdict record for one (g, s) pair.
 
     minus_two is None when the discriminant is degenerate (not positive
@@ -139,22 +138,9 @@ def build_certificate(g: int, s: int) -> Certificate:
             reasons.append("constraint-region minimum falls below floor((g-1)/2)")
     clifford_pass = clifford is not None and clifford.passed
 
-    gamma1 = (g - 1) // 2
-    gamma_E = gamma(2, d, 4)
     conclusion = decide_conclusion(regime, lemma21_ok, square_zero_free,
                                    minus_two_ok, clifford_pass)
-    return Certificate(
-        g=g, s=s, d=d, regime=regime,
-        lemma21_ok=lemma21_ok,
-        square_zero_free=square_zero_free,
-        minus_two=minus_two,
-        clifford=clifford,
-        gamma1=gamma1,
-        gamma_E=gamma_E,
-        gap_lower_bound=gap_lower_bound(g, s),
-        expected_dim=expected_dim_bn24(g, s),
-        lemma31_square=2 * s + 4,
-        h0_H_restricted=5,
-        conclusion=conclusion,
-        reasons=tuple(reasons),
-    )
+    # the fields in order; gamma_E is clifford.gamma(2, d, 4), written out
+    return Certificate(g, s, d, regime, lemma21_ok, square_zero_free, minus_two, clifford,
+                       (g - 1) // 2, Fraction(d - 4, 2), gap_lower_bound(g, s),
+                       expected_dim_bn24(g, s), 2 * s + 4, 5, conclusion, tuple(reasons))

@@ -27,7 +27,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bqf import QuadraticForm, RepDecision, represents, zero_witness
+from .bqf import DecisionStatus, QuadraticForm, RepDecision, represents, zero_witness
 from .certify import CONCLUSION_APPLIES, Certificate, build_certificate
 from .clifford import CliffordReport
 
@@ -37,34 +37,38 @@ CSV_COLUMNS = ("g", "s", "d", "regime", "lemma21_ok", "square_zero_free", "minus
                "clifford_pass", "gamma1", "gamma_E", "gap", "expected_dim", "conclusion")
 
 
+# the text of a bool in CSV and in certificate text, indexed by the bool
+_BOOL_TEXT = ("false", "true")
+
+# the scan row's minus_two_method, by decision status
+_METHOD_TEXT = {status: RepDecision(status).method.value for status in DecisionStatus}
+
+
 def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return "%d/%d" % x.as_integer_ratio()
 
 
 def scan_row(cert: Certificate) -> tuple:
     """The scan row of `cert`: its values in CSV_COLUMNS order, with
-    rationals rendered as reduced "p/q" strings."""
+    rationals rendered as reduced "p/q" strings (frac_str, written out)."""
+    dec, rep = cert.minus_two, cert.clifford
     return (cert.g, cert.s, cert.d, cert.regime, cert.lemma21_ok, cert.square_zero_free,
-            cert.minus_two.method.value if cert.minus_two else "",
-            bool(cert.clifford and cert.clifford.passed), cert.gamma1,
-            frac_str(cert.gamma_E), frac_str(cert.gap_lower_bound),
+            "" if dec is None else _METHOD_TEXT[dec.status],
+            rep is not None and rep.passed, cert.gamma1,
+            "%d/%d" % cert.gamma_E.as_integer_ratio(),
+            "%d/%d" % cert.gap_lower_bound.as_integer_ratio(),
             cert.expected_dim, cert.conclusion)
 
 
-def _csv_cell(value: object) -> str:
-    # identity tests, not a dict or ==: 1 == True and both hash alike
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
-
-
 def rows_to_csv(rows: list[tuple]) -> str:
+    """The CSV text of scan rows, bools written true/false.  The bools of a
+    scan row are its lemma21_ok, square_zero_free and clifford_pass, at
+    positions 4, 5 and 7."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(_csv_cell, row) for row in rows)
+    b = _BOOL_TEXT
+    writer.writerows((*r[:4], b[r[4]], b[r[5]], r[6], b[r[7]], *r[8:]) for r in rows)
     return buf.getvalue()
 
 
@@ -119,8 +123,8 @@ def render_certificate_text(cert: Certificate) -> str:
     lines = [
         f"certificate (g, s) = ({cert.g}, {cert.s})",
         f"  d = {cert.d}, regime = {cert.regime}",
-        f"  lemma21_ok = {_csv_cell(cert.lemma21_ok)}",
-        f"  square_zero_free = {_csv_cell(cert.square_zero_free)}",
+        f"  lemma21_ok = {_BOOL_TEXT[cert.lemma21_ok]}",
+        f"  square_zero_free = {_BOOL_TEXT[cert.square_zero_free]}",
         f"  minus_two = " + (f"{cert.minus_two.describe()} [{cert.minus_two.method.value}]"
                              if cert.minus_two else "unavailable"),
     ]
@@ -228,7 +232,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
             return 2
     try:
         rows, summary = run_scan(args.g_min, args.g_max, args.s_min, args.s_max)
-        if args.out is not None:
+        # append mode opens at the end: only a file with content is emptied, not
+        # a new file (ftruncate can cost more than a small scan's cells) and
+        # not a device or pipe, which cannot be truncated
+        if args.out is not None and out.seekable() and out.tell():
             out.truncate(0)
         out.write(scan_json(rows, summary) if args.format == "json" else rows_to_csv(rows))
     finally:

@@ -15,9 +15,9 @@ finite box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .bqf import integer_sqrt
 from .lattice import DivisorClass, K3Config
@@ -81,8 +81,7 @@ def _require_root_gap(cfg: K3Config) -> int:
     return gap
 
 
-@dataclass(frozen=True)
-class CliffordReport:
+class CliffordReport(NamedTuple):
     """Result of minimizing f over the constraint region.
 
     min_value and argmin are None exactly when the region is empty, in

@@ -7,7 +7,7 @@ H.C = d = g - s, C.C = 2g - 2.  Divisor classes are integer pairs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bqf import QuadraticForm, RepDecision, represents, zero_witness
 
@@ -16,6 +16,12 @@ from .bqf import QuadraticForm, RepDecision, represents, zero_witness
 class K3Config:
     """A (genus, twist) pair; the curve degree d = g - s is derived.
 
+    d and delta, the discriminant d^2 - 12(g-1) that every numeric
+    hypothesis reads (the Lemma 2.1 quantity d^2 - 6(2g-2), the discriminant
+    of minus_two_form, a quarter of that of square_zero_form, and the
+    Clifford root gap), are computed once, at construction.  Like g and s
+    they are read-only; they take no part in repr, equality or hashing.
+
     The theorem-level hypothesis ranges (s >= -1, genus bounds) are checked
     in :mod:`k3cert.certify`; here any g >= 2 is accepted so that
     out-of-range pairs can still be probed.
@@ -23,23 +29,16 @@ class K3Config:
 
     g: int
     s: int
+    d: int = field(init=False, repr=False, compare=False)
+    delta: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.g < 2:
-            raise ValueError(f"genus must be >= 2, got {self.g}")
-
-    @property
-    def d(self) -> int:
-        return self.g - self.s
-
-    @property
-    def delta(self) -> int:
-        """The discriminant d^2 - 12(g-1) that every numeric hypothesis reads:
-        the Lemma 2.1 quantity d^2 - 6(2g-2), the discriminant of
-        minus_two_form, a quarter of that of square_zero_form, and the
-        Clifford root gap."""
-        d = self.d
-        return d * d - 12 * (self.g - 1)
+        g = self.g
+        if g < 2:
+            raise ValueError(f"genus must be >= 2, got {g}")
+        d = g - self.s
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "delta", d * d - 12 * (g - 1))
 
 
 @dataclass(frozen=True)

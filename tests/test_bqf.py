@@ -110,6 +110,9 @@ def test_modular_obstruction_examples():
 def test_modular_obstruction_rejects_small_modulus():
     with pytest.raises(ValueError):
         modular_obstruction(QuadraticForm(1, 1, 1), 1, [1])
+    # every modulus is checked, also past one that obstructs
+    with pytest.raises(ValueError):
+        modular_obstruction(QuadraticForm(3, 12, 12), -1, (3, 0))
 
 
 @settings(max_examples=120, deadline=None)
@@ -164,6 +167,8 @@ def test_represents_named_examples():
     assert dec.status is DecisionStatus.WITNESS
     assert QuadraticForm(3, 7, 3).evaluate(*dec.witness) == -1
     assert dec.method is DecisionMethod.PELL_SEARCH
+    assert repr(dec) == (
+        "RepDecision(status=<DecisionStatus.WITNESS: 'witness'>, witness=(1, -1), modulus=None)")
 
     dec = represents(QuadraticForm(3, 11, -9), -1)
     assert dec.status is DecisionStatus.NONE_PROVED

@@ -1,9 +1,11 @@
+import inspect
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3cert.bqf import DecisionStatus, integer_sqrt
+from k3cert.bqf import DecisionStatus, QuadraticForm, integer_sqrt, represents
 from k3cert.certify import (
     CONCLUSION_APPLIES,
     CONCLUSION_FAILS,
@@ -14,7 +16,7 @@ from k3cert.certify import (
     gap_lower_bound,
     lemma21_check,
 )
-from k3cert.clifford import gamma
+from k3cert.clifford import gamma, verify_clifford
 from k3cert.lattice import (
     C,
     H,
@@ -206,3 +208,22 @@ def test_gap_grows_along_admissible_family():
                         crossed[m] = (g, s)
     assert all(cell is not None for cell in crossed.values())
     assert best > 50
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_certificate(19, 1),
+    lambda: build_certificate(14, 1),
+    lambda: represents(QuadraticForm(3, 7, 3), -1),
+    lambda: verify_clifford(K3Config(19, 1)),
+], ids=["certificate", "witness-certificate", "decision", "clifford-report"])
+def test_records_are_values(build):
+    # Certificate, RepDecision and CliffordReport are immutable, and equal
+    # builds of one cell compare and hash equal
+    record, again = build(), build()
+    assert record == again and hash(record) == hash(again)
+    fields = inspect.signature(type(record)).parameters
+    assert fields
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert record == again

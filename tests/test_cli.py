@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -119,6 +120,27 @@ def test_scan_row_matches_certificate():
     assert row["conclusion"] == "theorem_applies"
 
 
+@pytest.mark.parametrize("cell", [(14, 1), (19, 1), (13, 0), (12, 0)],
+                         ids=["witness", "mod_scan", "degenerate", "outside"])
+def test_csv_writes_true_false_exactly_where_the_row_holds_bools(cell):
+    cert = build_certificate(*cell)
+    kind = {(14, 1): cert.minus_two is not None and cert.minus_two.witness is not None,
+            (19, 1): cert.minus_two is not None and cert.minus_two.modulus is not None,
+            (13, 0): cert.minus_two is None,
+            (12, 0): cert.regime == "outside" and cert.minus_two is not None}
+    assert kind[cell]
+    row = scan_row(cert)
+    header, line = rows_to_csv([row]).splitlines()
+    assert header.split(",") == list(CSV_COLUMNS)
+    texts = line.split(",")
+    assert len(row) == len(texts) == len(CSV_COLUMNS)
+    for name, value, text in zip(CSV_COLUMNS, row, texts):
+        if type(value) is bool:
+            assert text == ("true" if value else "false"), name
+        else:
+            assert text == str(value) and text not in ("true", "false"), name
+
+
 def test_scan_row_agrees_with_certificate_dict():
     # the CSV row schema and the JSON certificate schema read the same values;
     # the band has a witness cell (14, 1), mod_scan cells, degenerate-discriminant
@@ -184,6 +206,15 @@ def test_failed_scan_leaves_the_out_file_as_it_was(tmp_path, monkeypatch, capsys
               "--out", str(out)])
     assert out.read_bytes() == b"g,s\n12,-1\n"
     assert capsys.readouterr().out == ""
+
+
+def test_scan_out_to_a_device(capsys):
+    # a device cannot be truncated; the scan writes to it all the same
+    assert main(["scan", "--g-min", "12", "--g-max", "13", "--s-min", "-1", "--s-max", "0",
+                 "--out", os.devnull]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("scan: 4 cells")
 
 
 def test_scan_json_payload(capsys):
