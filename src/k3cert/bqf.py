@@ -423,9 +423,9 @@ def _window_size(D: int) -> int:
 
 
 def _window(start: _Form, steps: int, root: int) -> tuple[list[int], list[int], _Form, bool]:
-    """The keys (_unkey) of the forms of the first `steps` steps of rho from
-    `start`, the signed shears of those steps, the last form, and whether
-    the walk stopped early because it was back at `start`."""
+    """The keys 2a*(root + 1) + b of the forms (a, b, c) of the first `steps`
+    steps of rho from `start`, the signed shears of those steps, the last
+    form, and whether the walk stopped early because it was back at `start`."""
     a0, b0, c0 = start
     sign = 1 if a0 > 0 else -1
     A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
@@ -445,13 +445,6 @@ def _window(start: _Form, steps: int, root: int) -> tuple[list[int], list[int], 
             return keys, _signed(quotients, sign), start, True
         key(u * A * K + b)
     return keys, _signed(quotients, sign), (u * (A >> 1), b, -u * (C >> 1)), False
-
-
-def _unkey(key: int, K2: int, D: int) -> _Form:
-    """The reduced form with key 2a*(root + 1) + b = key, K2 = 2*(root + 1):
-    its b lies in (0, root]."""
-    a, b = divmod(key, K2)
-    return (a, b, (b * b - D) // (4 * a))
 
 
 def _reach(start: _Form, end: _Form, shears: Sequence[int], root: int) -> int:
@@ -543,7 +536,7 @@ def _landed(landing: _Form, windows: list[_Window], start: dict[int, int],
     then the first met, or None; and its step in the window at the start
     of the cycle, or None."""
     a, b, _ = landing
-    key = a * K2 + b
+    key = a * K2 + b  # one key to a reduced form, as 0 < b <= root
     met = max(((win[key], g, shears) for win, g, shears in windows if key in win), default=None)
     return met, start.get(key)
 
@@ -578,10 +571,9 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
     n_h = 3 * W // 4
     B = D & 1
     p_red, m_p = _reduce((1, B, (B * B - D) // 4), D, root)
-    pkeys, pshears, _, p_closed = _window(p_red, n_h, root)
+    _, pshears, h, p_closed = _window(p_red, n_h, root)
     if p_closed:
         return _walk_on(f_red, head, end, targets, root)
-    h = _unkey(pkeys[n_h], K2, D)
     M = _matmul(m_p, _product(pshears))
     lam = (2 * M[0] + M[2] * B, -M[2])
     # strides from f_red, so that the walk's head is not multiplied out.  A

@@ -102,8 +102,9 @@ class Certificate(NamedTuple):
 def build_certificate(g: int, s: int) -> Certificate:
     """Run every check for (g, s) and assemble the certificate.
 
-    Sub-operation precondition failures are folded into the reasons list,
-    so any g >= 2 yields a full row of arithmetic fields.
+    Nothing is caught: a sub-operation whose precondition fails is skipped
+    and a reason is recorded instead, so any g >= 2 yields a full row of
+    arithmetic fields.
     """
     cfg = K3Config(g, s)
     d = cfg.d

@@ -40,7 +40,7 @@ CSV_COLUMNS = ("g", "s", "d", "regime", "lemma21_ok", "square_zero_free", "minus
 # the text of a bool in CSV and in certificate text, indexed by the bool
 _BOOL_TEXT = ("false", "true")
 
-# the scan row's minus_two_method, by decision status
+# the text of a decision's method, by its status
 _METHOD_TEXT = {status: RepDecision(status).method.value for status in DecisionStatus}
 
 
@@ -75,58 +75,40 @@ def rows_to_csv(rows: list[tuple]) -> str:
 def decision_to_dict(dec: RepDecision | None) -> dict | None:
     if dec is None:
         return None
-    return {
-        "status": dec.status.value,
-        "method": dec.method.value,
-        "m": dec.witness[0] if dec.witness else None,
-        "n": dec.witness[1] if dec.witness else None,
-        "modulus": dec.modulus,
-    }
+    m, n = dec.witness or (None, None)
+    return {"status": dec.status.value, "method": _METHOD_TEXT[dec.status], "m": m, "n": n,
+            "modulus": dec.modulus}
 
 
 def clifford_to_dict(report: CliffordReport | None) -> dict | None:
+    """The report's fields in order, argmin as {m, n} or null."""
     if report is None:
         return None
-    return {
-        "min_value": report.min_value,
-        "argmin": ({"m": report.argmin.m, "n": report.argmin.n}
-                   if report.argmin is not None else None),
-        "region_size": report.region_size,
-        "bound_n": report.bound_n,
-        "target": report.target,
-        "passed": report.passed,
-    }
+    a = report.argmin
+    return report._asdict() | {"argmin": None if a is None else {"m": a.m, "n": a.n}}
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "g": cert.g,
-        "s": cert.s,
-        "d": cert.d,
-        "regime": cert.regime,
-        "lemma21_ok": cert.lemma21_ok,
-        "square_zero_free": cert.square_zero_free,
+    """The certificate's fields in order, which is the JSON schema, with the
+    records as objects, rationals as "p/q" and the reasons as a list."""
+    return cert._asdict() | {
         "minus_two": decision_to_dict(cert.minus_two),
         "clifford": clifford_to_dict(cert.clifford),
-        "gamma1": cert.gamma1,
         "gamma_E": frac_str(cert.gamma_E),
         "gap_lower_bound": frac_str(cert.gap_lower_bound),
-        "expected_dim": cert.expected_dim,
-        "lemma31_square": cert.lemma31_square,
-        "h0_H_restricted": cert.h0_H_restricted,
-        "conclusion": cert.conclusion,
         "reasons": list(cert.reasons),
     }
 
 
 def render_certificate_text(cert: Certificate) -> str:
+    dec = cert.minus_two
     lines = [
         f"certificate (g, s) = ({cert.g}, {cert.s})",
         f"  d = {cert.d}, regime = {cert.regime}",
         f"  lemma21_ok = {_BOOL_TEXT[cert.lemma21_ok]}",
         f"  square_zero_free = {_BOOL_TEXT[cert.square_zero_free]}",
-        f"  minus_two = " + (f"{cert.minus_two.describe()} [{cert.minus_two.method.value}]"
-                             if cert.minus_two else "unavailable"),
+        "  minus_two = " + ("unavailable" if dec is None
+                            else f"{dec.describe()} [{_METHOD_TEXT[dec.status]}]"),
     ]
     rep = cert.clifford
     if rep is None:
@@ -256,21 +238,19 @@ def cmd_form(args: argparse.Namespace) -> int:
     if t == 0:
         w = zero_witness(f)
         dec = RepDecision.witness_of(*w) if w is not None else RepDecision.none_proved()
-        payload = decision_to_dict(dec)
-        payload["method"] = None  # zero test is a direct discriminant factorisation
-        text = dec.describe()
     else:
         try:
             dec = represents(f, t)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        payload = decision_to_dict(dec)
-        text = dec.describe()
     if args.format == "json":
+        payload = decision_to_dict(dec)
+        if t == 0:
+            payload["method"] = None  # zero test is a direct discriminant factorisation
         sys.stdout.write(_json_exact(payload))
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(dec.describe() + "\n")
     return 0
 
 

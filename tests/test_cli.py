@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from k3cert import cli, lattice
-from k3cert.certify import build_certificate
+from k3cert.certify import Certificate, build_certificate
 from k3cert.cli import (
     CSV_COLUMNS,
     certificate_to_dict,
@@ -16,6 +16,7 @@ from k3cert.cli import (
     scan_json,
     scan_row,
 )
+from k3cert.clifford import CliffordReport
 
 
 def test_check_theorem_applies_exit_zero(capsys):
@@ -43,6 +44,24 @@ def test_check_json_field_list(capsys):
     for key in ("gamma_E", "gap_lower_bound"):
         num, den = map(int, payload[key].split("/"))
         assert den >= 1 and gcd(abs(num), den) == 1
+
+
+@pytest.mark.parametrize("cell", [(14, 1), (19, 1), (2, -4), (13, 0)],
+                         ids=["witness", "mod_scan", "empty_region", "degenerate"])
+def test_check_json_keys_follow_the_record_fields(cell, capsys):
+    main(["check", "--g", str(cell[0]), "--s", str(cell[1]), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    cert = build_certificate(*cell)
+    kind = {(14, 1): cert.minus_two is not None and cert.minus_two.witness is not None,
+            (19, 1): cert.minus_two is not None and cert.minus_two.modulus is not None,
+            (2, -4): cert.clifford is not None and cert.clifford.argmin is None,
+            (13, 0): cert.minus_two is None}
+    assert kind[cell]
+    assert list(payload) == list(Certificate._fields)
+    if payload["clifford"] is not None:
+        assert list(payload["clifford"]) == list(CliffordReport._fields)
+    if payload["minus_two"] is not None:
+        assert list(payload["minus_two"]) == ["status", "method", "m", "n", "modulus"]
 
 
 def test_check_hypotheses_fail_exit_one(capsys):
