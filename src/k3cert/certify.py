@@ -12,6 +12,7 @@ asserts exactly that every numerical hypothesis has been verified.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .bqf import DecisionStatus, RepDecision, int_text, integer_sqrt
@@ -54,6 +55,14 @@ def expected_dim_bn24(g: int, s: int) -> int:
     return value
 
 
+@lru_cache(maxsize=1024)
+def _half(n: int) -> Fraction:
+    """n/2 as a Fraction, memoised: consecutive cells of a scan share their
+    halves (gamma_E, the gap), and a Fraction is immutable, so one object
+    serves them all without normalising n/2 again."""
+    return Fraction(n, 2)
+
+
 def gap_lower_bound(g: int, s: int) -> Fraction:
     """floor((g-1)/2) - ((g-s)/2 - 2), which is gamma1 - gamma_E, as an exact
     rational; strictly positive whenever s >= -1."""
@@ -61,7 +70,7 @@ def gap_lower_bound(g: int, s: int) -> Fraction:
     if s >= -1 and twice_gap <= 0:
         raise AssertionError(
             f"gap bound must be positive for s >= -1, got {Fraction(twice_gap, 2)}")
-    return Fraction(twice_gap, 2)
+    return _half(twice_gap)
 
 
 def decide_conclusion(regime: str, lemma21_ok: bool, square_zero_free: bool,
@@ -143,5 +152,5 @@ def build_certificate(g: int, s: int) -> Certificate:
                                    minus_two_ok, clifford_pass)
     # the fields in order; gamma_E is clifford.gamma(2, d, 4), written out
     return Certificate(g, s, d, regime, lemma21_ok, square_zero_free, minus_two, clifford,
-                       (g - 1) // 2, Fraction(d - 4, 2), gap_lower_bound(g, s),
+                       (g - 1) // 2, _half(d - 4), gap_lower_bound(g, s),
                        expected_dim_bn24(g, s), 2 * s + 4, 5, conclusion, tuple(reasons))

@@ -21,8 +21,6 @@ range order to the rows of one scan over their union.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -60,16 +58,22 @@ def scan_row(cert: Certificate) -> tuple:
             cert.expected_dim, cert.conclusion)
 
 
+# one scan row of CSV text; no value of a row needs quoting: ints, bool
+# text, "p/q" rationals and the fixed words of regime, method and conclusion
+_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
+
+
 def rows_to_csv(rows: list[tuple]) -> str:
-    """The CSV text of scan rows, bools written true/false.  The bools of a
-    scan row are its lemma21_ok, square_zero_free and clifford_pass, at
-    positions 4, 5 and 7."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    b = _BOOL_TEXT
-    writer.writerows((*r[:4], b[r[4]], b[r[5]], r[6], b[r[7]], *r[8:]) for r in rows)
-    return buf.getvalue()
+    """The CSV text of scan rows, bools written true/false: the text that
+    csv.writer writes for them with a newline line terminator.  The bools
+    of a scan row are its lemma21_ok, square_zero_free and clifford_pass,
+    at positions 4, 5 and 7."""
+    b, fmt = _BOOL_TEXT, _CSV_ROW
+    return ",".join(CSV_COLUMNS) + "\n" + "".join([
+        fmt % (g, s, d, regime, b[lemma21], b[zero_free], method, b[passed],
+               gamma1, gamma_E, gap, dim, conclusion)
+        for g, s, d, regime, lemma21, zero_free, method, passed,
+        gamma1, gamma_E, gap, dim, conclusion in rows])
 
 
 def decision_to_dict(dec: RepDecision | None) -> dict | None:
@@ -147,13 +151,16 @@ def run_scan(g_min: int, g_max: int, s_min: int, s_max: int) -> tuple[list[tuple
     rows = []
     applies = 0
     max_gap = max_at = None
+    max_twice = 0  # 2 * max_gap, an int, since every gap is a half-integer
     for g, s in scan_cells(g_min, g_max, s_min, s_max):
         cert = build_certificate(g, s)
         rows.append(scan_row(cert))
         applies += cert.conclusion == CONCLUSION_APPLIES
+        gap = cert.gap_lower_bound
+        twice = 2 * gap.numerator // gap.denominator
         # strict >, so ties go to the earliest cell
-        if max_gap is None or cert.gap_lower_bound > max_gap:
-            max_gap, max_at = cert.gap_lower_bound, {"g": g, "s": s}
+        if max_at is None or twice > max_twice:
+            max_gap, max_twice, max_at = gap, twice, {"g": g, "s": s}
     summary = {
         "cells": len(rows),
         "theorem_applies": applies,

@@ -498,6 +498,16 @@ def test_represents_pinned_large_witnesses(cell, step, bits, digest):
     assert hashlib.sha256(f"{m},{n}".encode()).hexdigest() == digest
 
 
+def test_pinned_witnesses_through_the_product_tree(monkeypatch):
+    # with _DIRECT at its least, _LEAF, every hit past one leaf is assembled
+    # in the product tree, which the pinned witnesses then pin as well
+    monkeypatch.setattr(bqf, "_DIRECT", bqf._LEAF)
+    for cell, _, witness in PINNED_CELLS:
+        assert represents(_minus_two_form(*cell), -1).witness == witness, cell
+    for coeffs, t, _, witness in PINNED_FORMS:
+        assert represents(QuadraticForm(*coeffs), t).witness == witness, coeffs
+
+
 def _sequential_shear_product(shears):
     # independent reference: left-to-right 2x2 products, one shear at a time
     def matmul(x, y):
@@ -507,15 +517,17 @@ def _sequential_shear_product(shears):
 
 
 def test_shear_product_tree_matches_sequential_fold():
-    L = bqf._LEAF
+    L, D = bqf._LEAF, bqf._DIRECT
     lengths = [0, 1, L - 1, L, L + 1]
     lengths += [(1 << k) * L + e for k in range(1, 5) for e in (-1, 1)]
+    # _apply switches from one shear at a time to the product tree past D
+    lengths += [D - 1, D, D + 1]
     rng = random.Random(4)
     for n in lengths:
         shears = [rng.randint(-40, 40) for _ in range(n)]
         p, q, r, t = _sequential_shear_product(shears)
         assert bqf._product(shears) == (p, q, r, t), n
-        # the right spine applied to a column vector
+        # applied to a column vector
         x, y = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
         assert bqf._apply(shears, (x, y)) == (p * x + q * y, r * x + t * y), n
 
@@ -558,14 +570,21 @@ def test_closed_walk_builds_no_product(monkeypatch):
             calls.append(fn.__name__)
             return fn(*args)
         return wrapped
-    monkeypatch.setattr(bqf, "_leaf_product", counted(bqf._leaf_product))
-    monkeypatch.setattr(bqf, "_matmul", counted(bqf._matmul))
-    # a hit 129 steps in goes through both
-    assert represents(_minus_two_form(420, -1), -1).witness == PINNED_CELLS[-2][2]
-    assert {"_leaf_product", "_matmul"} <= set(calls)
-    calls.clear()
-    assert represents(f, -1).status is DecisionStatus.NONE_PROVED
-    assert calls == []
+    assembly = ("_apply", "_product", "_leaf_product", "_matmul")
+    for name in assembly:
+        monkeypatch.setattr(bqf, name, counted(getattr(bqf, name)))
+    # a hit 129 steps in applies its shears to a vector, one at a time up to
+    # _DIRECT shears and through the product tree past it; a closed walk
+    # does neither
+    hit = _minus_two_form(420, -1)
+    for direct, expected in ((bqf._DIRECT, {"_apply"}), (2 * bqf._LEAF, set(assembly))):
+        monkeypatch.setattr(bqf, "_DIRECT", direct)
+        calls.clear()
+        assert represents(hit, -1).witness == PINNED_CELLS[-2][2]
+        assert set(calls) == expected, direct
+        calls.clear()
+        assert represents(f, -1).status is DecisionStatus.NONE_PROVED
+        assert calls == [], direct
 
 
 def test_represents_hard_cell_100135_2():

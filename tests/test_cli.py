@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -160,6 +162,26 @@ def test_csv_writes_true_false_exactly_where_the_row_holds_bools(cell):
             assert text == str(value) and text not in ("true", "false"), name
 
 
+def test_rows_to_csv_matches_csv_writer():
+    # csv.writer is the oracle: it quotes a value only where one needs it,
+    # and rows_to_csv writes each row with one format and quotes nothing
+    rows, _ = run_scan(12, 20, -1, 10)
+    column = dict(zip(CSV_COLUMNS, zip(*rows)))
+    assert set(column["minus_two_method"]) == {"", "mod_scan", "pell_search"}
+    assert set(column["regime"]) == {"strong", "relaxed", "outside"}
+    assert min(column["s"]) < 0
+    halves = column["gamma_E"] + column["gap"]
+    assert {text.split("/")[1] for text in halves} == {"1", "2"}
+    assert any(text.startswith("-") for text in halves)
+    for sample in (rows, []):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([("true" if v else "false") if type(v) is bool else v for v in row]
+                         for row in sample)
+        assert rows_to_csv(sample) == buf.getvalue()
+
+
 def test_scan_row_agrees_with_certificate_dict():
     # the CSV row schema and the JSON certificate schema read the same values;
     # the band has a witness cell (14, 1), mod_scan cells, degenerate-discriminant
@@ -285,6 +307,17 @@ def test_scan_summary_counts():
     assert summary["max_gap_at"] == {"g": 19, "s": 1}
     assert run_scan(5, 9, -1, 3) == ([], {"cells": 0, "theorem_applies": 0,
                                           "max_gap": None, "max_gap_at": None})
+
+
+def test_scan_summary_maximum_wins_by_a_half():
+    # gaps 1/1, 3/2, 1/1: the maximum is ahead of the cells before and after
+    # it by 1/2 only, so a running maximum of whole gaps, not of 2 * gap,
+    # floors 3/2 to 1 and reports the first cell
+    gap = CSV_COLUMNS.index("gap")
+    rows, summary = run_scan(20, 22, 0, 0)
+    assert [r[gap] for r in rows] == ["1/1", "3/2", "1/1"]
+    assert summary["max_gap"] == "3/2"
+    assert summary["max_gap_at"] == {"g": 21, "s": 0}
 
 
 def test_form_obstructed(capsys):
