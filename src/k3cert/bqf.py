@@ -24,12 +24,13 @@ coefficients and the target mod k, which is all its answer depends on.
 
 The cycle is walked one division per step, and the walk only records its
 quotients, so a walk that closes multiplies nothing.  After a hit, the
-walk's transform, one shear [[0, -1], [1, s]] per step, is applied to a
-column vector, as only the witness is needed.  Up to _DIRECT shears they
-are applied one at a time, a two-term update each; a longer transform is
-assembled in a balanced product tree (Bernstein, "Fast multiplication and
-its applications", 2008) whose right spine is applied to the vector:
-near-linear in the witness size, where one shear at a time is quadratic.
+quotients are signed into the walk's transform, one shear [[0, -1], [1, s]]
+per step, which is applied to a column vector, as only the witness is
+needed.  Up to _DIRECT shears they are applied one at a time, a two-term
+update each; a longer transform is assembled in a balanced product tree
+(Bernstein, "Fast multiplication and its applications", 2008) whose right
+spine is applied to the vector: near-linear in the witness size, where one
+shear at a time is quadratic.
 
 A walk that has not ended after _SWITCH steps goes on with giant strides
 (baby steps and giant steps on the cycle's infrastructure, Shanks 1972):
@@ -38,8 +39,9 @@ principal cycle, and reduction, jump that far along the cycle at once, with
 an exact transform.  Each target, and the start of the cycle, has one window
 of consecutive forms, and a stride that lands in one settles the walk.  A
 stride's transform is the walk's only up to sign, which depends on the
-number of steps mod 4, so a hit still counts its steps with a walk that
-multiplies nothing, and the witness is assembled from the strides in a
+number of steps mod 4, so a hit still counts its steps: the same cycle walk
+goes on to the target, multiplying nothing, and the number of quotients it
+records is the count.  The witness is assembled from the strides in a
 balanced product tree in Q(sqrt(D)).
 """
 
@@ -50,7 +52,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, isqrt, prod
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 DEFAULT_MODULI: tuple[int, ...] = (3, 4, 5, 8, 9, 16)
 
@@ -211,39 +213,14 @@ def _matmul(x: _Mat, y: _Mat) -> _Mat:
             x[2] * y[1] + x[3] * y[3])
 
 
-def _is_reduced(form: _Form, D: int, root: int) -> bool:
-    # reduced <=> |sqrt(D) - 2|a|| < b < sqrt(D), decided by exact squarings;
-    # _reduce inlines it, and the tests check reductions with it
-    a, b, _ = form
-    if b <= 0 or b > root:
-        return False
-    t = 2 * abs(a)
-    if (t + b) ** 2 <= D:
-        return False
-    return t - b < 0 or (t - b) ** 2 < D
-
-
-def _rho(form: _Form, D: int, root: int) -> tuple[_Form, int]:
-    """One reduction/cycle step; returns the neighbour and the shear s of the
-    applied transform [[0, -1], [1, s]].  _reduce and the walks inline it;
-    the tests walk with it as their reference."""
-    _, b, c = form
-    ac = abs(c)
-    two = 2 * ac
-    if ac > root:
-        bp = (-b) % two
-        if bp > ac:
-            bp -= two
-    else:
-        bp = root - ((root + b) % two)
-    cp = (bp * bp - D) // (4 * c)
-    s = (b + bp) // (2 * c)
-    return (c, bp, cp), s
-
-
 def _reduce(form: _Form, D: int, root: int) -> tuple[_Form, _Mat]:
-    """Reduce to a reduced form, tracking the accumulated SL2 transform:
-    _is_reduced and _rho, inlined.
+    """Reduce to a reduced form, tracking the accumulated SL2 transform.
+
+    (a, b, c) is reduced when |sqrt(D) - 2|a|| < b < sqrt(D), decided by
+    exact squarings.  Until it is, one step of rho takes the form to
+    (c, b', c') with b' = -b (mod 2|c|), in (-|c|, |c|] while |c| > sqrt(D)
+    and in (isqrt(D) - 2|c|, isqrt(D)] otherwise, and applies the shear
+    [[0, -1], [1, s]] with s = (b + b') / (2c).
 
     The number of rho steps is logarithmic in |c| / sqrt(D) (Buchmann &
     Vollmer, *Binary Quadratic Forms*, 2007, ch. 6): while |c| > sqrt(D),
@@ -331,22 +308,24 @@ def _cycle_bound(root: int) -> int:
     return 2 * root * root + 1
 
 
-def _cycle_hit(start: _Form, targets: dict[_Form, _Mat], root: int,
+def _cycle_hit(start: _Form, targets: Collection[_Form], root: int,
                limit: int | None = None) -> tuple[_Form, list[int]] | None:
-    """Walk the reduction cycle of `start`: the first target form met and
-    the shears s of the steps [[0, -1], [1, s]] that take `start` to it, or
-    None once the walk is back at `start` without a hit.  After `limit`
-    steps (rounded down to even) with neither, the form reached (not a
-    target) and the shears to it; without a limit the walk stops at
-    _cycle_bound.
+    """Walk the reduction cycle of `start`: the first of the forms `targets`
+    met and the quotients q of the steps that take `start` to it, or None
+    once the walk is back at `start` without a hit.  After `limit` steps
+    (rounded down to even) with neither, the form reached (not a target)
+    and the quotients to it; without a limit the walk stops at _cycle_bound.
+    _signed turns the quotients into the shears s of the steps
+    [[0, -1], [1, s]]; their number is the number of steps.
 
     A reduced form (a, b, c) has ac < 0 and rho takes it to (c, b', c'), so
-    the sign of a alternates.  The walk carries (A, b, C) = (2|a|, b, 2|c|):
-    with q = (root + b) // C, rho gives b' = Cq - b, C' = A - q(b' - b) and
-    the shear sign(c)*q.  It takes two steps per pass, with A and C trading
-    places after the first, records q, rebuilds the signed form only where
-    b' is that of a target or of `start` (after the first step of a pass
-    from 2|c| = C' and 4|ac| = D - b'^2), and signs the shears at the end."""
+    the sign of a alternates, and `start` can come back only after an even
+    number of steps.  The walk carries (A, b, C) = (2|a|, b, 2|c|): with
+    q = (root + b) // C, rho gives b' = Cq - b, C' = A - q(b' - b) and the
+    shear sign(c)*q.  It takes two steps per pass, with A and C trading
+    places after the first, records q, and rebuilds the signed form only
+    where b' is that of a target or of `start` (after the first step of a
+    pass from 2|c| = C' and 4|ac| = D - b'^2)."""
     if start in targets:
         return start, []
     a0, b0, c0 = start
@@ -364,10 +343,7 @@ def _cycle_hit(start: _Form, targets: dict[_Form, _Mat], root: int,
         if b1 in stops:
             form = (-sign * ((D - b1 * b1) // A >> 1), b1, sign * (A >> 1))
             if form in targets:
-                return form, _signed(quotients, sign)
-            # ends: rho permutes the finite set of reduced forms of discriminant D (B&V ch. 6)
-            if form == start:
-                return None
+                return form, quotients
         q = (root + b1) // A
         record(q)
         b = A * q - b1
@@ -375,18 +351,19 @@ def _cycle_hit(start: _Form, targets: dict[_Form, _Mat], root: int,
         if b in stops:
             form = (sign * (A >> 1), b, -sign * (C >> 1))
             if form in targets:
-                return form, _signed(quotients, sign)
+                return form, quotients
+            # ends: rho permutes the finite set of reduced forms of discriminant D (B&V ch. 6)
             if form == start:
                 return None
     if limit is None:
         raise RuntimeError("internal error: the cycle walk ran past the bound on the cycle length")
-    return (sign * (A >> 1), b, -sign * (C >> 1)), _signed(quotients, sign)
+    return (sign * (A >> 1), b, -sign * (C >> 1)), quotients
 
 
-def _signed(quotients: list[int], sign: int) -> list[int]:
-    """The shears of a walk from a form whose a has sign `sign`: sign(c) at
-    step i is -sign * (-1)^i."""
-    first = 0 if sign > 0 else 1
+def _signed(quotients: list[int], a: int) -> list[int]:
+    """The shears, in place, of a walk with these quotients from a form whose
+    first coefficient is a: sign(c) at step i is -sign(a) * (-1)^i."""
+    first = 0 if a > 0 else 1
     quotients[first::2] = [-q for q in quotients[first::2]]
     return quotients
 
@@ -419,8 +396,9 @@ def _signed(quotients: list[int], sign: int) -> list[int]:
 #
 # A stride's transform is the walk's only up to sign, and the walk's sign
 # depends on its number of steps mod 4, which no form shows.  So a hit
-# counts the steps of the walk to the target, with no product, and fixes
-# the sign of the product of the strides from that count (_signed_strides).
+# counts the steps to the target by the cycle walk (_cycle_hit) from where
+# the walk stopped, with no product, and fixes the sign of the product of
+# the strides from that count (_signed_strides).
 
 # The windows and h cost about 2,000 walk steps (ROADMAP item 3), and the
 # scan-grid benchmark's walks all end within 1,905 steps.
@@ -433,20 +411,21 @@ def _window_size(D: int) -> int:
     return max(64, 2 * isqrt(isqrt(D)))
 
 
-def _window(start: _Form, steps: int, root: int) -> tuple[list[int], list[int], _Form, bool]:
-    """The keys 2a*(root + 1) + b of the forms (a, b, c) of the first `steps`
-    steps of rho from `start`, the signed shears of those steps, the last
-    form, and whether the walk stopped early because it was back at `start`."""
+def _window(start: _Form, steps: int,
+            root: int) -> tuple[dict[int, int], list[int], _Form, bool]:
+    """The step at which the first `steps` steps of rho from `start` reach
+    each form (a, b, c), keyed by 2a*(root + 1) + b, the signed shears of
+    those steps, the last form, and whether the walk stopped early because
+    it was back at `start`."""
     a0, b0, c0 = start
     sign = 1 if a0 > 0 else -1
     A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
     K = root + 1
-    keys = [sign * A * K + b0]
-    key = keys.append
+    keys = {sign * A * K + b0: 0}
     quotients: list[int] = []
     record = quotients.append
     u = sign
-    for _ in repeat(None, steps):
+    for step in range(1, steps + 1):
         q = (root + b) // C
         record(q)
         bp = C * q - b
@@ -454,7 +433,7 @@ def _window(start: _Form, steps: int, root: int) -> tuple[list[int], list[int], 
         u = -u
         if b == b0 and (u * (A >> 1), b, -u * (C >> 1)) == start:
             return keys, _signed(quotients, sign), start, True
-        key(u * A * K + b)
+        keys[u * A * K + b] = step
     return keys, _signed(quotients, sign), (u * (A >> 1), b, -u * (C >> 1)), False
 
 
@@ -554,8 +533,8 @@ def _landed(landing: _Form, windows: list[_Window], start: dict[int, int],
 
 def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat],
            D: int, root: int) -> tuple[_Form, list[_Node]] | None:
-    """Finish the walk of the cycle of f_red, which reached `end` after the
-    shears `head` and met neither a target nor f_red again, by giant strides.
+    """Finish by giant strides the walk of the cycle of f_red, which reached
+    `end` after the quotients `head` and met neither a target nor f_red again.
 
     Returns None when no target is on the cycle; else the first target met
     and the walk's transform to it as nodes, each starting where the one
@@ -565,14 +544,13 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
         return _walk_on(f_red, head, end, targets, root)
     W = min(_window_size(D), len(head))
     K2 = 2 * (root + 1)
-    fkeys, _, f_last, _ = _window(f_red, W, root)
-    start_keys = dict(zip(fkeys, range(len(fkeys))))
-    reach = _reach(f_red, f_last, head[:W], root)
+    start_keys, fshears, f_last, _ = _window(f_red, W, root)
+    reach = _reach(f_red, f_last, fshears, root)
     windows: list[_Window] = []
     for g in targets:
         gkeys, gshears, g_last, g_closed = _window(g, W, root)
         if not g_closed:  # else its cycle is shorter than f_red's
-            windows.append((dict(zip(gkeys, range(len(gkeys)))), g, gshears))
+            windows.append((gkeys, g, gshears))
             reach = min(reach, _reach(g, g_last, gshears, root))
     if not windows:
         return None
@@ -607,7 +585,7 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
         if at is not None and not beyond and at > index:
             index = at
         elif met is not None:
-            return _signed_strides(f_red, len(head), end, strides, landing, *met, D, root)
+            return _signed_strides(f_red, len(head), end, strides, landing, *met, root)
         elif at is not None:
             return None
         else:
@@ -618,18 +596,19 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
 
 def _walk_on(f_red: _Form, head: list[int], end: _Form, targets: dict[_Form, _Mat],
              root: int) -> tuple[_Form, list[_Node]] | None:
-    """The plain walk from `end`, reached from f_red by `head`; it is back
-    at `end` after one cycle."""
+    """The plain walk from `end`, reached from f_red by the quotients `head`;
+    it is back at `end` after one cycle."""
     found = _cycle_hit(end, targets, root)
     if found is None:
         return None
-    hit, shears = found
-    return hit, [(f_red, *_apply(head + shears, (1, 0)))]
+    hit, rest = found
+    shears = _signed(head, f_red[0]) + _signed(rest, end[0])
+    return hit, [(f_red, *_apply(shears, (1, 0)))]
 
 
 def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
                     landing: _Form, j: int, g: _Form, shears: list[int],
-                    D: int, root: int) -> tuple[_Form, list[_Node]]:
+                    root: int) -> tuple[_Form, list[_Node]]:
     """The walk's transform from f_red to g, the first target on its cycle,
     which the last of `strides` from f_red passed to land j steps after it;
     the walk reached `end` after `walked` steps.
@@ -639,8 +618,12 @@ def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
     coefficient a give lambda the sign _walk_sign(a, steps), and a stride
     from (a, b, c) to (a', b', c') with entry r has the sign of a'r, since
     lambda is small beside conj(lambda) - lambda = r*sqrt(D)/a.  So only
-    the number of steps from f_red to g is needed, and a walk counts it."""
-    steps = walked + _steps_to(end, g, D, root)
+    the number of steps from f_red to g is needed: the number of quotients
+    of the walk from `end` to g."""
+    counted = _cycle_hit(end, {g}, root)
+    if counted is None:
+        raise RuntimeError("internal error: the counting walk closed without meeting the target")
+    steps = walked + len(counted[1])
     M = _product(shears[:j])
     sign = _walk_sign(g[0], j)
     for k, (start, p, r) in enumerate(strides):
@@ -650,27 +633,6 @@ def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
         start, p, r = strides[0]
         strides[0] = (start, -p, -r)
     return g, [*strides, (landing, M[3], -M[2])]  # the first column of inverse(M)
-
-
-def _steps_to(start: _Form, g: _Form, D: int, root: int) -> int:
-    """The steps of rho from `start` to g, walked as in _cycle_hit but with
-    no record."""
-    a0, b0, c0 = start
-    sign = 1 if a0 > 0 else -1
-    A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
-    b_g = g[1]
-    for n in range(2, _cycle_bound(root) + 2, 2):
-        q = (root + b) // C
-        b1 = C * q - b
-        A -= q * (b1 - b)
-        r = (root + b1) // A
-        b = A * r - b1
-        C -= r * (b - b1)
-        if b1 == b_g and (-sign * ((D - b1 * b1) // A >> 1), b1, sign * (A >> 1)) == g:
-            return n - 1
-        if b == b_g and (sign * (A >> 1), b, -sign * (C >> 1)) == g:
-            return n
-    raise RuntimeError("internal error: the counting walk ran past the bound on the cycle length")
 
 
 def _column(nodes: Sequence[_Node], D: int) -> tuple[int, int]:
@@ -777,15 +739,15 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     found = _cycle_hit(f_red, targets, root, _SWITCH) if targets else None
     if found is None:
         return RepDecision.none_proved()
-    hit, shears = found
+    hit, quotients = found
     if hit in targets:
         m_g = targets[hit]
         # the first column of m_f * m_cycle * inverse(m_g)
-        x, y = _apply(shears, (m_g[3], -m_g[2]))
+        x, y = _apply(_signed(quotients, f_red[0]), (m_g[3], -m_g[2]))
         p, q, r, s = m_f
         m, n = p * x + q * y, r * x + s * y
     else:
-        walked = _giant(f_red, hit, shears, targets, D, root)
+        walked = _giant(f_red, hit, quotients, targets, D, root)
         if walked is None:
             return RepDecision.none_proved()
         hit, nodes = walked

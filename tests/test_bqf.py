@@ -359,6 +359,34 @@ def test_represents_complete_vs_brute(a, b, c, t):
 
 # -- one-pass cycle walk and product-tree witness assembly ---------------------
 
+def _is_reduced(form, D: int, root: int) -> bool:
+    """Reference test: |sqrt(D) - 2|a|| < b < sqrt(D), by exact squarings."""
+    a, b, _ = form
+    if b <= 0 or b > root:
+        return False
+    t = 2 * abs(a)
+    if (t + b) ** 2 <= D:
+        return False
+    return t - b < 0 or (t - b) ** 2 < D
+
+
+def _rho(form, D: int, root: int):
+    """Reference reduction/cycle step: the neighbour and the shear s of the
+    applied transform [[0, -1], [1, s]]."""
+    _, b, c = form
+    ac = abs(c)
+    two = 2 * ac
+    if ac > root:
+        bp = (-b) % two
+        if bp > ac:
+            bp -= two
+    else:
+        bp = root - ((root + b) % two)
+    cp = (bp * bp - D) // (4 * c)
+    s = (b + bp) // (2 * c)
+    return (c, bp, cp), s
+
+
 def _walk_setup(f: QuadraticForm, t: int):
     """The reduced start, the reduced targets (t, B, C) with their transforms,
     D and isqrt(D), as represents builds them."""
@@ -379,7 +407,7 @@ def _rho_walk(start, targets, D: int, root: int):
     comes back to `start`."""
     current, shears = start, []
     while current not in targets:
-        current, s = bqf._rho(current, D, root)
+        current, s = _rho(current, D, root)
         shears.append(s)
         if current == start:
             return None
@@ -394,9 +422,9 @@ def _hit_step(f: QuadraticForm, t: int):
 
 
 def _cycle_length(start, D: int, root: int) -> int:
-    current, steps = bqf._rho(start, D, root)[0], 1
+    current, steps = _rho(start, D, root)[0], 1
     while current != start:
-        current, steps = bqf._rho(current, D, root)[0], steps + 1
+        current, steps = _rho(current, D, root)[0], steps + 1
     return steps
 
 
@@ -534,7 +562,8 @@ def test_shear_product_tree_matches_sequential_fold():
 
 def test_cycle_walk_matches_plain_rho_walk():
     # the walk on doubled magnitudes meets the same form after the same
-    # signed shears as plain rho steps, and closes where they close
+    # shears as plain rho steps, once its quotients are signed, and closes
+    # where they close
     seen, outcomes = set(), set()
     for form, _ in _small_indefinite_forms():
         for t in (-2, -1, 1, 2):
@@ -544,6 +573,8 @@ def test_cycle_walk_matches_plain_rho_walk():
             seen.add((start, t))
             expected = _rho_walk(start, targets, D, root)
             found = _bounded_cycle_hit(start, targets, root, _cycle_length(start, D, root))
+            if found is not None:
+                found = found[0], bqf._signed(found[1], start[0])
             assert found == expected, (start, t)
             if expected is None or expected[1]:
                 outcomes.add((start[2] > 0, expected is None))
@@ -611,7 +642,7 @@ def _small_indefinite_forms():
 
 def test_cycle_forms_stay_within_the_root():
     # every form of a reduction cycle has |a|, |c| <= isqrt(D), which is why
-    # the walk's inlined rho drops _rho's |c| > root branch
+    # the walk's inlined rho drops the |c| > root branch of _rho
     seen: set[tuple[int, int, int]] = set()
     for form, D in _small_indefinite_forms():
         root = isqrt(D)
@@ -623,7 +654,7 @@ def test_cycle_forms_stay_within_the_root():
             seen.add(current)
             a, _, c = current
             assert abs(a) <= root and abs(c) <= root, (form, current)
-            current, _ = bqf._rho(current, D, root)
+            current, _ = _rho(current, D, root)
             if current == start:
                 break
     assert len(seen) > 1000
@@ -789,13 +820,15 @@ def test_giant_strides_stop_at_the_cycle_bound(monkeypatch):
         represents(_minus_two_form(81, 2), -1)
 
 
-def test_counting_walk_stops_at_the_cycle_bound():
-    # a target off the cycle is never met
+def test_counting_walk_fails_off_the_cycle():
+    # the step count from the end of the walk to a target off its cycle: the
+    # counting walk closes without meeting it, which is an internal error
     f = _minus_two_form(81, 2)
     start, targets, D, root = _walk_setup(f, -1)
     (target,) = targets
+    assert _hit_step(f, -1) is None
     with pytest.raises(RuntimeError, match="internal error"):
-        bqf._steps_to(start, target, D, root)
+        bqf._signed_strides(start, 0, start, [], start, 0, target, [], root)
 
 
 def test_represents_long_closed_cycle_100003_2():
@@ -831,7 +864,7 @@ def test_lambda_tree_matches_matrix_products():
     for length in [rng.randint(1, 40) for _ in range(13)]:
         segment, begin = [], form
         for _ in range(length):
-            form, s = bqf._rho(form, D, root)
+            form, s = _rho(form, D, root)
             segment.append(s)
         p, _, r, _ = _sequential_shear_product(segment)
         chain.append((begin, p, r))
@@ -851,7 +884,7 @@ def test_stride_certificate_is_sound_and_not_vacuous():
         for _ in range(20):
             forms, shears = [form], []
             for _ in range(120):
-                nxt, s = bqf._rho(forms[-1], D, root)
+                nxt, s = _rho(forms[-1], D, root)
                 forms.append(nxt)
                 shears.append(s)
             for k in (8, 24, 60):
@@ -881,8 +914,8 @@ def test_reduction_ends_within_its_bound():
                 continue
             root = isqrt(D)
             form, steps = (a, b, c), 0
-            while not bqf._is_reduced(form, D, root):
-                form, _ = bqf._rho(form, D, root)
+            while not _is_reduced(form, D, root):
+                form, _ = _rho(form, D, root)
                 steps += 1
             assert steps <= abs(c).bit_length() // 2 + 3, ((a, b, c), steps)
             assert bqf._reduce((a, b, c), D, root)[0] == form

@@ -77,6 +77,9 @@ def test_check_text_format(capsys):
     out = capsys.readouterr().out
     assert "regime = relaxed" in out
     assert "conclusion = theorem_applies" in out
+    # an empty Clifford region passes vacuously
+    assert main(["check", "--g", "2", "--s", "40"]) == 1
+    assert "  clifford = empty region, target 0 -> pass (vacuous)\n" in capsys.readouterr().out
 
 
 def test_check_malformed_argument_exits_two():
@@ -328,6 +331,11 @@ def test_form_obstructed(capsys):
 def test_form_zero_target_witness(capsys):
     assert main(["form", "--a", "6", "--b", "24", "--c", "18", "--target", "0"]) == 0
     assert capsys.readouterr().out.strip() == "Witness(-1, 1)"
+    # the zero test is no decision method
+    assert main(["form", "--a", "6", "--b", "24", "--c", "18", "--target", "0",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "witness", "method": None, "m": -1, "n": 1, "modulus": None}
 
 
 def test_form_zero_target_none(capsys):

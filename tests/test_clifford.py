@@ -119,6 +119,8 @@ def test_verify_clifford_empty_region_is_vacuous_pass():
 def test_verify_clifford_rejects_degenerate():
     with pytest.raises(ValueError):
         verify_clifford(K3Config(10, -2))
+    with pytest.raises(ValueError, match=r"requires d\^2 > 12\(g-1\)"):
+        verify_clifford(K3Config(14, 10))
 
 
 def test_region_bound_witness():

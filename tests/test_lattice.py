@@ -60,6 +60,7 @@ def test_pair_symmetric(cfg, d1, d2):
 @given(configs, classes, classes, classes)
 def test_pair_bilinear(cfg, d1, d2, d3):
     assert pair(cfg, d1 + d2, d3) == pair(cfg, d1, d3) + pair(cfg, d2, d3)
+    assert pair(cfg, -d1, d3) == -pair(cfg, d1, d3)
 
 
 @given(configs, classes)
