@@ -52,6 +52,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, isqrt, prod
+from sys import maxsize
 from typing import Collection, NamedTuple, Sequence
 
 DEFAULT_MODULI: tuple[int, ...] = (3, 4, 5, 8, 9, 16)
@@ -335,7 +336,9 @@ def _cycle_hit(start: _Form, targets: Collection[_Form], root: int,
     A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
     quotients: list[int] = []
     record = quotients.append
-    for _ in repeat(None, (_cycle_bound(root) + 1 if limit is None else limit) // 2):
+    # repeat takes a C ssize_t count; maxsize passes outlast any real run
+    for _ in repeat(None, min((_cycle_bound(root) + 1 if limit is None else limit) // 2,
+                              maxsize)):
         q = (root + b) // C
         record(q)
         b1 = C * q - b
@@ -575,8 +578,8 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
     strides: list[_Node] = []
     form, beyond, index = f_red, False, 0
     # each stride moves at least one step, and a cycle has fewer than
-    # _cycle_bound forms
-    for _ in repeat(None, _cycle_bound(root)):
+    # _cycle_bound forms (capped at maxsize, repeat's C ssize_t count)
+    for _ in repeat(None, min(_cycle_bound(root), maxsize)):
         landing, p, r = _stride(form, h, lam, D, root)
         if not _certified(form, landing, p, r, root, reach):
             return _walk_on(f_red, head, end, targets, root)
@@ -679,15 +682,16 @@ def _genus_obstructed(form: _Form, t: int, D: int) -> bool:
     """True when a genus character at an odd prime p < 1000 dividing D shows
     that the form does not take t.  Forms in different genera are never
     equivalent (Cox, *Primes of the Form x^2 + ny^2*, sec. 3)."""
+    # a product of distinct primes: once p * p > common, what is left is 1 or a prime
     common = gcd(D, _GENUS_PRODUCT)
     for p in _GENUS_PRIMES:
-        if common == 1:
-            return False
+        if p * p > common:
+            break
         if common % p == 0:
             if _character_fails(form, t, p):
                 return True
             common //= p
-    return False
+    return common > 1 and _character_fails(form, t, common)
 
 
 def represents(f: QuadraticForm, t: int) -> RepDecision:

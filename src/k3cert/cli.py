@@ -5,7 +5,11 @@ concludes theorem_applies), 1 for a built certificate whose hypotheses
 fail, 2 for usage errors and out-of-domain queries (for ``check``: g < 2,
 or a JSON witness past the int-to-str digit limit; for ``scan``: invalid
 ranges, or an ``--out`` path that cannot be opened for writing, which is
-found before any cell is computed); an internal fault propagates instead.
+found before any cell is computed), and 3 for any other exception, a fault
+of the engine or an I/O failure of the output itself (a closed pipe on
+stdout): ``main`` raises it, and ``run``, the console script's and
+``python -m k3cert``'s entry, reports it on stderr as ``internal error:
+<message>`` after the traceback.
 
 A scan makes one pass over its cells.  Each cell's certificate yields a
 row, a plain tuple in CSV_COLUMNS order, and is folded into the summary
@@ -21,6 +25,7 @@ range order to the rows of one scan over their union.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -273,18 +278,28 @@ def _json_exact(payload: dict) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="k3cert",
-        description="Exact certificates for curve/bundle numerics on K3-hosted curves.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    import shutil
 
-    check = sub.add_parser("check", help="build and print the certificate for one (g, s)")
+    # argparse builds a HelpFormatter, which asks for the terminal size, for
+    # every argument it adds; one width, the one HelpFormatter computes when
+    # given none, serves them all.  Subparsers do not inherit it.
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="k3cert", formatter_class=formatter,
+        description="Exact certificates for curve/bundle numerics on K3-hosted curves.")
+    # prog given, which argparse otherwise takes from a formatted usage line
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+
+    check = sub.add_parser("check", formatter_class=formatter,
+                           help="build and print the certificate for one (g, s)")
     check.add_argument("--g", type=int, required=True, help="genus (>= 2)")
     check.add_argument("--s", type=int, required=True, help="twist; degree is d = g - s")
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.set_defaults(func=cmd_check)
 
-    scan = sub.add_parser("scan", help="scan a (g, s) rectangle and emit one row per cell")
+    scan = sub.add_parser("scan", formatter_class=formatter,
+                          help="scan a (g, s) rectangle and emit one row per cell")
     scan.add_argument("--g-min", type=int, required=True)
     scan.add_argument("--g-max", type=int, required=True)
     scan.add_argument("--s-min", type=int, required=True)
@@ -293,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--out", type=str, default=None, help="write the table to this path")
     scan.set_defaults(func=cmd_scan)
 
-    form = sub.add_parser("form", help="decide representability of a target by a raw form")
+    form = sub.add_parser("form", formatter_class=formatter,
+                          help="decide representability of a target by a raw form")
     form.add_argument("--a", type=int, required=True)
     form.add_argument("--b", type=int, required=True)
     form.add_argument("--c", type=int, required=True)
@@ -308,5 +324,21 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def run(argv: list[str] | None = None) -> int:
+    """main for the console script and ``python -m k3cert``: an exception
+    other than argparse's SystemExit, a fault of the engine or a failed
+    write such as BrokenPipeError, is printed with its traceback and an
+    ``internal error: <message>`` line, and exits 3."""
+    try:
+        return main(argv)
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        message = str(exc).removeprefix("internal error: ") or type(exc).__name__
+        print(f"internal error: {message}", file=sys.stderr)
+        return 3
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

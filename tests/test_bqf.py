@@ -727,6 +727,36 @@ def test_genus_step_never_fires_on_a_k3_witness_cell():
     assert witnesses > 4000 and fired > 9000
 
 
+def _forms_of_discriminant(D: int):
+    """Forms (a, b, c) of discriminant D with 1 <= |a| <= 40 and 0 <= b < 2|a|."""
+    for a in range(1, 41):
+        for b in range(2 * a):
+            if (b * b - D) % (4 * a) == 0:
+                c = (b * b - D) // (4 * a)
+                yield (a, b, c)
+                yield (-a, b, -c)
+
+
+@pytest.mark.parametrize("D", [
+    # no odd prime below 1000 divides D
+    8, 4 * 1009, 1009 * 1013,
+    # one prime above 31, alone or beside small ones
+    4 * 37, 997, 4 * 991, 4 * 3 * 5 * 997, 4 * 3 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 41,
+    # two primes above 31
+    37 * 41, 4 * 991 * 997, 3 * 43 * 953, 4 * 5 * 7 * 673 * 1009,
+])
+def test_genus_loop_matches_every_prime_factor(D):
+    # the loop stops at the root of the odd primes left; the full loop tries
+    # every odd prime below 1000 that divides D
+    fired = 0
+    for form in _forms_of_discriminant(D):
+        for t in (-2, -1, 1, 2):
+            full = any(bqf._character_fails(form, t, p) for p in bqf._GENUS_PRIMES if D % p == 0)
+            assert bqf._genus_obstructed(form, t, D) is full, (form, t)
+            fired += full
+    assert fired > 0 or all(D % p for p in bqf._GENUS_PRIMES)
+
+
 @pytest.mark.parametrize("coeffs, t", [
     ((1, 1, 2), 1), ((1, 0, -9), 1),
     # the character at 7 would fail for these: D must be checked first
@@ -818,6 +848,23 @@ def test_giant_strides_stop_at_the_cycle_bound(monkeypatch):
     monkeypatch.setattr(bqf, "_landed", lambda *args: (None, None))
     with pytest.raises(RuntimeError, match="internal error"):
         represents(_minus_two_form(81, 2), -1)
+
+
+def test_loop_bounds_take_any_integer(monkeypatch):
+    # a cycle bound past a C ssize_t, as at root >= 2**31 (g ~ 2.15e9 at
+    # s = 1): the stride loop and the walk without a limit still count it.
+    # (31, 0) falls back on the plain walk, (34, -1) counts its hit's steps
+    # with the walk, and the strides close the cycle of (81, 2)
+    cells = [(31, 0), (34, -1), (81, 2)]
+    monkeypatch.setattr(bqf, "_SWITCH", 16)
+    monkeypatch.setattr(bqf, "_window_size", lambda D: 16)
+    expected = _decisions(cells)
+    log = _log_strides(monkeypatch)
+    monkeypatch.setattr(bqf, "_cycle_bound", lambda root: 2 ** 64)
+    assert _decisions(cells) == expected
+    assert {"_walk_on", "_signed_strides", "closed"} <= set(log)
+    start, targets, D, root = _walk_setup(_minus_two_form(81, 2), -1)
+    assert bqf._cycle_hit(start, targets, root) is None
 
 
 def test_counting_walk_fails_off_the_cycle():

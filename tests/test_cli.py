@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -88,6 +89,94 @@ def test_check_malformed_argument_exits_two():
     assert exc.value.code == 2
 
 
+_TOP_USAGE = "usage: k3cert [-h] {check,scan,form} ...\n"
+_CHECK_USAGE = "usage: k3cert check [-h] --g G --s S [--format {text,json}]\n"
+
+HELP_AND_ERRORS = [
+    (["-h"], 0, _TOP_USAGE + """
+Exact certificates for curve/bundle numerics on K3-hosted curves.
+
+positional arguments:
+  {check,scan,form}
+    check            build and print the certificate for one (g, s)
+    scan             scan a (g, s) rectangle and emit one row per cell
+    form             decide representability of a target by a raw form
+
+options:
+  -h, --help         show this help message and exit
+""", ""),
+    (["check", "-h"], 0, _CHECK_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --g G                 genus (>= 2)
+  --s S                 twist; degree is d = g - s
+  --format {text,json}
+""", ""),
+    (["scan", "-h"], 0, """\
+usage: k3cert scan [-h] --g-min G_MIN --g-max G_MAX --s-min S_MIN --s-max
+                   S_MAX [--format {csv,json}] [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --g-min G_MIN
+  --g-max G_MAX
+  --s-min S_MIN
+  --s-max S_MAX
+  --format {csv,json}
+  --out OUT            write the table to this path
+""", ""),
+    (["form", "-h"], 0, """\
+usage: k3cert form [-h] --a A --b B --c C --target TARGET
+                   [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --a A
+  --b B
+  --c C
+  --target TARGET
+  --format {text,json}
+""", ""),
+    ([], 2, "", _TOP_USAGE + "k3cert: error: the following arguments are required: command\n"),
+    (["chek"], 2, "", _TOP_USAGE + "k3cert: error: argument command: invalid choice: 'chek' "
+                                   "(choose from 'check', 'scan', 'form')\n"),
+    (["check", "--g", "2", "--s", "x"], 2, "",
+     _CHECK_USAGE + "k3cert check: error: argument --s: invalid int value: 'x'\n"),
+    (["check", "--g", "19", "--s", "1", "--bogus"], 2, "",
+     _TOP_USAGE + "k3cert: error: unrecognized arguments: --bogus\n"),
+]
+
+
+# recorded on Python 3.11; argparse's wording and wrapping differ by version
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="text recorded on Python 3.11")
+@pytest.mark.parametrize("argv, code, out, err", HELP_AND_ERRORS)
+def test_help_and_usage_error_text(monkeypatch, capsys, argv, code, out, err):
+    # the width is fixed: under pytest, sys.__stdout__ may be a terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("argv", [case[0] for case in HELP_AND_ERRORS])
+def test_help_text_matches_the_stock_formatter(monkeypatch, capsys, columns, argv):
+    # on any interpreter: the width build_parser passes gives the text that
+    # argparse's HelpFormatter prints when it looks the width up itself
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def outcome():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr()
+
+    ours = outcome()
+    monkeypatch.setattr(cli, "functools", types.SimpleNamespace(partial=lambda cls, **kw: cls),
+                        raising=False)
+    assert outcome() == ours
+
+
 def test_check_out_of_domain_genus(capsys):
     assert main(["check", "--g", "1", "--s", "0"]) == 2
     assert "error" in capsys.readouterr().err
@@ -101,6 +190,41 @@ def test_check_internal_value_error_is_not_a_usage_error(monkeypatch, fmt):
     monkeypatch.setattr(lattice, "represents", broken)
     with pytest.raises(ValueError, match="broken engine"):
         main(["check", "--g", "19", "--s", "1", "--format", fmt])
+
+
+def test_run_reports_an_internal_fault_with_exit_three(monkeypatch, capsys):
+    # the console script's entry: the traceback, then one line, and exit 3,
+    # which no verdict or usage error uses
+    def broken(f, t):
+        raise ValueError("broken engine")
+    monkeypatch.setattr(lattice, "represents", broken)
+    assert cli.run(["check", "--g", "19", "--s", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("ValueError: broken engine\ninternal error: broken engine\n")
+
+    def failed(f, t):
+        raise RuntimeError("internal error: extracted witness failed re-evaluation")
+    monkeypatch.setattr(lattice, "represents", failed)
+    assert cli.run(["check", "--g", "19", "--s", "1"]) == 3
+    assert capsys.readouterr().err.endswith(
+        "\ninternal error: extracted witness failed re-evaluation\n")
+    # a failed write of the output, such as a closed pipe, is exit 3 too
+    monkeypatch.undo()
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.run(["check", "--g", "19", "--s", "1"]) == 3
+    assert capsys.readouterr().err.endswith("\ninternal error: [Errno 32] Broken pipe\n")
+    monkeypatch.undo()
+    # usage errors keep exit 2, argparse's through SystemExit
+    assert cli.run(["check", "--g", "1", "--s", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["check", "--g", "x", "--s", "1"])
+    assert exc.value.code == 2
 
 
 def test_check_huge_witness_2399_4(capsys):
