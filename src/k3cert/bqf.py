@@ -23,7 +23,15 @@ The residue scan that runs before all of this is memoised on the
 coefficients and the target mod k, which is all its answer depends on.
 
 The cycle is walked one division per step, and the walk only records its
-quotients, so a walk that closes multiplies nothing.  After a hit, the
+quotients, so a walk that closes multiplies nothing.  Where every target
+(a, b, c) has a | b, as for |t| = 1, the walk reads half of an ambiguous
+cycle off the other half (Buchmann & Vollmer, ch. 6).  tau(a, b, c) =
+(c, b, a) conjugates the cycle step rho to its inverse, and a step that
+keeps b (an edge) takes f_e to tau(f_e), so the form k + 1 steps past the
+edge is rho^k tau f_e = tau rho^-k f_e = tau(f_(e-k)); and rho(c, b, a) =
+(a, b, c) exactly when a | b, so such a target follows an edge.  The walk
+appends the quotients before its first edge reversed, goes on from tau of
+its start, and ends at its second edge.  After a hit, the
 quotients are signed into the walk's transform, one shear [[0, -1], [1, s]]
 per step, which is applied to a column vector, as only the witness is
 needed.  Up to _DIRECT shears they are applied one at a time, a two-term
@@ -39,9 +47,9 @@ principal cycle, and reduction, jump that far along the cycle at once, with
 an exact transform.  Each target, and the start of the cycle, has one window
 of consecutive forms, and a stride that lands in one settles the walk.  A
 stride's transform is the walk's only up to sign, which depends on the
-number of steps mod 4, so a hit still counts its steps: the same cycle walk
-goes on to the target, multiplying nothing, and the number of quotients it
-records is the count.  The witness is assembled from the strides in a
+number of steps mod 4, so a hit still counts its steps: a cycle walk goes
+on to the target, recording nothing, and jumps to tau of the start at the
+first edge it meets.  The witness is assembled from the strides in a
 balanced product tree in Q(sqrt(D)).
 """
 
@@ -309,15 +317,21 @@ def _cycle_bound(root: int) -> int:
     return 2 * root * root + 1
 
 
+def _mirrors(targets: Collection[_Form]) -> bool:
+    """True when every target (a, b, c) has a | b, so that each one follows
+    an edge of its cycle and a walk to it may mirror (see _cycle_hit)."""
+    return all(b % a == 0 for a, b, _ in targets)
+
+
 def _cycle_hit(start: _Form, targets: Collection[_Form], root: int,
                limit: int | None = None) -> tuple[_Form, list[int]] | None:
     """Walk the reduction cycle of `start`: the first of the forms `targets`
     met and the quotients q of the steps that take `start` to it, or None
-    once the walk is back at `start` without a hit.  After `limit` steps
-    (rounded down to even) with neither, the form reached (not a target)
-    and the quotients to it; without a limit the walk stops at _cycle_bound.
-    _signed turns the quotients into the shears s of the steps
-    [[0, -1], [1, s]]; their number is the number of steps.
+    once the walk has closed the cycle without a hit.  After `limit` // 2
+    passes with neither, the form reached (not a target) and the quotients
+    to it; without a limit the walk stops at _cycle_bound.  _signed turns
+    the quotients into the shears s of the steps [[0, -1], [1, s]]; their
+    number is the number of steps.
 
     A reduced form (a, b, c) has ac < 0 and rho takes it to (c, b', c'), so
     the sign of a alternates, and `start` can come back only after an even
@@ -325,15 +339,26 @@ def _cycle_hit(start: _Form, targets: Collection[_Form], root: int,
     q = (root + b) // C, rho gives b' = Cq - b, C' = A - q(b' - b) and the
     shear sign(c)*q.  It takes two steps per pass, with A and C trading
     places after the first, records q, and rebuilds the signed form only
-    where b' is that of a target or of `start` (after the first step of a
-    pass from 2|c| = C' and 4|ac| = D - b'^2)."""
+    where b' is that of a target or of `start`, or b' = b (after the first
+    step of a pass from 2|c| = C' and 4|ac| = D - b'^2).
+
+    A step that keeps b (an edge, at step e) takes f to tau(f) =
+    (c, b, a), and past it the cycle is tau of the forms before it (see the
+    module docstring): tau(start) is at step 2e + 1, and steps e + 1 ... 2e
+    take the quotients of steps e - 1 ... 0, whose signs match by parity.
+    So a cycle with an edge has two, half a cycle apart, and a target with
+    a | b follows one.  When every target has a | b (_mirrors), the walk
+    appends the reversed quotients at its first edge, goes on from
+    tau(start), and closes the cycle at its second edge."""
     if start in targets:
         return start, []
     a0, b0, c0 = start
     D = b0 * b0 - 4 * a0 * c0
     stops = {form[1] for form in targets} | {b0}
+    mirror = _mirrors(targets)
     sign = 1 if a0 > 0 else -1  # the sign of a after an even number of steps
     A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
+    tau = -sign, C, b0, A  # (sign, A, b, C) at tau(start); None once there
     quotients: list[int] = []
     record = quotients.append
     # repeat takes a C ssize_t count; maxsize passes outlast any real run
@@ -343,20 +368,31 @@ def _cycle_hit(start: _Form, targets: Collection[_Form], root: int,
         record(q)
         b1 = C * q - b
         A -= q * (b1 - b)
-        if b1 in stops:
+        if b1 in stops or b1 == b:
             form = (-sign * ((D - b1 * b1) // A >> 1), b1, sign * (A >> 1))
             if form in targets:
                 return form, quotients
+            if b1 == b and mirror:
+                if tau is None:
+                    return None
+                quotients += quotients[-2::-1]
+                (sign, A, b, C), tau = tau, None
+                continue
         q = (root + b1) // A
         record(q)
         b = A * q - b1
         C -= q * (b - b1)
-        if b in stops:
+        if b in stops or b == b1:
             form = (sign * (A >> 1), b, -sign * (C >> 1))
             if form in targets:
                 return form, quotients
+            if b == b1 and mirror:
+                if tau is None:
+                    return None
+                quotients += quotients[-2::-1]
+                (sign, A, b, C), tau = tau, None
             # ends: rho permutes the finite set of reduced forms of discriminant D (B&V ch. 6)
-            if form == start:
+            elif form == start:
                 return None
     if limit is None:
         raise RuntimeError("internal error: the cycle walk ran past the bound on the cycle length")
@@ -399,12 +435,18 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 #
 # A stride's transform is the walk's only up to sign, and the walk's sign
 # depends on its number of steps mod 4, which no form shows.  So a hit
-# counts the steps to the target by the cycle walk (_cycle_hit) from where
-# the walk stopped, with no product, and fixes the sign of the product of
-# the strides from that count (_signed_strides).
+# counts the steps to the target by a cycle walk from where the walk
+# stopped, with no product, and fixes the sign of the product of the
+# strides from that count (_signed_strides).  For a target with a | b the
+# count mirrors as the walk does, jumping to tau(f_red) at step 2e + 1
+# (_count_to).
+#
+# The head the walk leaves has at least _SWITCH - 1 quotients, more where it
+# mirrored.  Windows are capped at _SWITCH steps, so past g ~ 10^6, where
+# 2 D^(1/4) > _SWITCH, they stop growing with D.
 
-# The windows and h cost about 2,000 walk steps (ROADMAP item 3), and the
-# scan-grid benchmark's walks all end within 1,905 steps.
+# The windows and h cost about 2,000 walk steps (measured when the switch
+# was set), and the scan-grid benchmark's walks all end within 1,905 steps.
 _SWITCH = 2048
 
 
@@ -545,7 +587,7 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
     or f_red is not primitive, as composition needs."""
     if gcd(*f_red) != 1:
         return _walk_on(f_red, head, end, targets, root)
-    W = min(_window_size(D), len(head))
+    W = min(_window_size(D), _SWITCH, len(head))
     K2 = 2 * (root + 1)
     start_keys, fshears, f_last, _ = _window(f_red, W, root)
     reach = _reach(f_red, f_last, fshears, root)
@@ -600,7 +642,7 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
 def _walk_on(f_red: _Form, head: list[int], end: _Form, targets: dict[_Form, _Mat],
              root: int) -> tuple[_Form, list[_Node]] | None:
     """The plain walk from `end`, reached from f_red by the quotients `head`;
-    it is back at `end` after one cycle."""
+    it closes within one cycle."""
     found = _cycle_hit(end, targets, root)
     if found is None:
         return None
@@ -621,12 +663,15 @@ def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
     coefficient a give lambda the sign _walk_sign(a, steps), and a stride
     from (a, b, c) to (a', b', c') with entry r has the sign of a'r, since
     lambda is small beside conj(lambda) - lambda = r*sqrt(D)/a.  So only
-    the number of steps from f_red to g is needed: the number of quotients
-    of the walk from `end` to g."""
-    counted = _cycle_hit(end, {g}, root)
-    if counted is None:
-        raise RuntimeError("internal error: the counting walk closed without meeting the target")
-    steps = walked + len(counted[1])
+    the number of steps from f_red to g is needed: `walked` and those of the
+    walk from `end` to g, mirrored (_count_to) when g has a | b."""
+    if _mirrors((g,)):
+        steps = _count_to(f_red, walked, end, g, root)
+    else:
+        counted = _cycle_hit(end, {g}, root)
+        if counted is None:
+            raise RuntimeError("internal error: the counting walk closed without meeting the target")
+        steps = walked + len(counted[1])
     M = _product(shears[:j])
     sign = _walk_sign(g[0], j)
     for k, (start, p, r) in enumerate(strides):
@@ -636,6 +681,51 @@ def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
         start, p, r = strides[0]
         strides[0] = (start, -p, -r)
     return g, [*strides, (landing, M[3], -M[2])]  # the first column of inverse(M)
+
+
+def _count_to(f_red: _Form, walked: int, end: _Form, g: _Form, root: int) -> int:
+    """The number of steps of rho from f_red to g, a reduced form (a, b, c)
+    with a | b on its cycle, which the walk reached `end` after `walked` steps
+    from f_red without meeting.
+
+    g follows an edge (see _cycle_hit), so the walk from `end` records
+    nothing and looks for g only after an edge.  At the first edge it
+    meets, at step e, it goes on from tau(f_red) at step 2e + 1.  Where the
+    walk to `end` had passed the cycle's first edge, this is the second,
+    which g follows; else g follows it or the next edge.  tau(f_red) is 2e + 1
+    steps from f_red, up to whole cycles, at either edge, so a miss at both
+    edges met, or a walk back at `end`, puts g off the cycle."""
+    a0, b0, c0 = end
+    sign = 1 if a0 > 0 else -1
+    A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
+    a_f, b_f, c_f = f_red
+    tau = (-1 if a_f > 0 else 1), 2 * abs(c_f), b_f, 2 * abs(a_f)  # None once there
+    n = walked
+    for _ in repeat(None, min(_cycle_bound(root) // 2 + 1, maxsize)):
+        q = (root + b) // C
+        b1 = C * q - b
+        if b1 == b:  # an edge at step n, to (c, b, a)
+            if (-sign * (C >> 1), b, sign * (A >> 1)) == g:
+                return n + 1
+            if tau is None:
+                break
+            n, (sign, A, b, C), tau = 2 * n + 1, tau, None
+            continue
+        A -= q * (b1 - b)
+        q = (root + b1) // A
+        b = A * q - b1
+        if b == b1:  # an edge at step n + 1
+            if (sign * (A >> 1), b, -sign * (C >> 1)) == g:
+                return n + 2
+            if tau is None:
+                break
+            n, (sign, A, b, C), tau = 2 * n + 3, tau, None
+            continue
+        C -= q * (b - b1)
+        n += 2
+        if b == b0 and (sign * (A >> 1), b, -sign * (C >> 1)) == end:
+            break
+    raise RuntimeError("internal error: the counting walk closed without meeting the target")
 
 
 def _column(nodes: Sequence[_Node], D: int) -> tuple[int, int]:
@@ -706,10 +796,11 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     dividing D that f fails proves that t is not represented.  Otherwise f
     and each form (t, B, C) are reduced, and a walk of f's cycle either
     meets a reduced target, whose witness is then the walk's shears applied
-    to a vector (_apply), or comes back to its start, which proves that t
-    is not represented.  A walk that has not ended after _SWITCH steps is
-    finished by giant strides (_giant), which give the same first target
-    and the same witness, or the same proof.  Returned witnesses are
+    to a vector (_apply), or closes the cycle, which proves that t is not
+    represented; where the targets allow, it mirrors at the cycle's first
+    edge and closes at its second (_cycle_hit).  A walk that has not ended
+    after _SWITCH steps is finished by giant strides (_giant), which give
+    the same first target and the same witness, or the same proof.  Returned witnesses are
     re-checked exactly before being handed back.
     """
     if t == 0:

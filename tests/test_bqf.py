@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 import sys
 from functools import reduce
@@ -563,7 +564,7 @@ def test_shear_product_tree_matches_sequential_fold():
 def test_cycle_walk_matches_plain_rho_walk():
     # the walk on doubled magnitudes meets the same form after the same
     # shears as plain rho steps, once its quotients are signed, and closes
-    # where they close
+    # where they close; mirrored at an edge or not
     seen, outcomes = set(), set()
     for form, _ in _small_indefinite_forms():
         for t in (-2, -1, 1, 2):
@@ -576,10 +577,137 @@ def test_cycle_walk_matches_plain_rho_walk():
             if found is not None:
                 found = found[0], bqf._signed(found[1], start[0])
             assert found == expected, (start, t)
+            # every target of |t| = 1, and of |t| = 2 with D even, has a | b;
+            # of |t| = 2 with D odd, none has
+            mirrors = bqf._mirrors(targets)
+            assert mirrors is not (abs(t) == 2 and D % 2 == 1), (start, t)
             if expected is None or expected[1]:
-                outcomes.add((start[2] > 0, expected is None))
-    # starts with c > 0 and with c < 0, each with hits and closed walks
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+                outcomes.add((t, start[2] > 0, expected is None))
+    # for every target, starts with c > 0 and with c < 0, each with hits and
+    # closed walks
+    assert outcomes == {(t, c, closed) for t in (-2, -1, 1, 2)
+                        for c in (True, False) for closed in (True, False)}
+
+
+def _cycle(start, D: int, root: int):
+    """The forms of the cycle of the reduced `start`, from it, and the shears
+    of the plain rho steps between them, the last one back to `start`."""
+    forms, shears = [start], []
+    while True:
+        form, s = _rho(forms[-1], D, root)
+        shears.append(s)
+        if form == start:
+            return forms, shears
+        forms.append(form)
+
+
+def _edges(forms) -> list[int]:
+    """The steps i of a cycle from forms[i] that keep b."""
+    return [i for i, form in enumerate(forms) if forms[(i + 1) % len(forms)][1] == form[1]]
+
+
+def _open_cells(g_max: int):
+    """The (-2) forms (3, d, g - 1) of g <= g_max, s in [-1, 10], that neither
+    the residue scan nor a genus character settles, with their D."""
+    for g in range(12, g_max + 1):
+        for s in range(-1, 11):
+            d = g - s
+            D = d * d - 12 * (g - 1)
+            if D > 0 and isqrt(D) ** 2 != D and modular_obstruction(
+                    QuadraticForm(3, d, g - 1), -1) is None and not bqf._genus_obstructed(
+                    (3, d, g - 1), -1, D):
+                yield (3, d, g - 1), D
+
+
+def test_ambiguous_cycles_mirror_at_their_edges():
+    # the lemma the walk mirrors by, with plain rho steps: a step that keeps
+    # b (an edge) takes f to tau(f) = (c, b, a), which conjugates rho to its
+    # inverse; so a cycle has no edge or two, half a cycle apart, tau(start)
+    # is 2e + 1 steps on, steps e + 1 ... 2e repeat the shears of steps
+    # e - 1 ... 0, and every form with a | b follows an edge
+    seen: set[tuple[int, int, int]] = set()
+    cycles = ambiguous = 0
+    for form, D in [*_small_indefinite_forms(), *_open_cells(600)]:
+        root = isqrt(D)
+        start, _ = bqf._reduce(form, D, root)
+        if start in seen:
+            continue
+        forms, shears = _cycle(start, D, root)
+        seen.update(forms)
+        L, edges = len(forms), _edges(forms)
+        cycles += 1
+        assert len(edges) in (0, 2), start
+        for i, (a, b, _) in enumerate(forms):
+            assert b % a or (i - 1) % L in edges, (start, i)
+        if edges:
+            ambiguous += 1
+            e = edges[0]
+            assert edges[1] - e == L // 2, start
+            assert forms[2 * e + 1] == start[::-1], start
+            assert all(shears[i] == shears[2 * e - i] for i in range(e + 1, 2 * e + 1)), start
+    assert cycles > 2500 and 0 < ambiguous < cycles
+
+
+def _walked(fn, *args):
+    """fn(*args), and the number of rho steps that the loops of fn walk: the
+    runs of its two lines that divide for a quotient."""
+    lines, first = inspect.getsourcelines(fn)
+    divisions = {first + i for i, line in enumerate(lines)
+                 if line.strip() in ("q = (root + b) // C", "q = (root + b1) // A")}
+    assert len(divisions) == 2
+    steps = 0
+
+    def local(frame, event, arg):
+        nonlocal steps
+        steps += event == "line" and frame.f_lineno in divisions
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is fn.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        return fn(*args), steps
+    finally:
+        sys.settrace(previous)
+
+
+@pytest.mark.parametrize("cell, edges, hit, walked", [
+    # edges at steps 5 and 14 of an 18-step cycle, and the hit after the
+    # second: steps 0-5, then from tau(start) at step 11, steps 11-14
+    ((19, 2), [5, 14], 15, 10),
+    # ambiguous and closed: steps 0-2, then from tau(start) at step 5, step
+    # 5, the second edge, which ends the walk of the 6-step cycle
+    ((51, 9), [2, 5], None, 4),
+    # no edge: the whole 66-step cycle
+    ((81, 2), [], None, 66),
+])
+def test_mirrored_walk_steps(cell, edges, hit, walked):
+    f = _minus_two_form(*cell)
+    start, targets, D, root = _walk_setup(f, -1)
+    assert _edges(_cycle(start, D, root)[0]) == edges
+    assert _hit_step(f, -1) == hit
+    found, steps = _walked(bqf._cycle_hit, start, targets, root)
+    assert steps == walked
+    assert (found if found is None else len(found[1])) == hit
+
+
+@pytest.mark.parametrize("cell", [(19, 2), (7393, 2), (13907, 6), (25381, 3)])
+def test_counting_walk_matches_plain_rho_walk(cell):
+    # the count from any point of the walk: before the first edge it jumps
+    # to tau(f_red), past it it walks on to the target
+    f = _minus_two_form(*cell)
+    start, targets, D, root = _walk_setup(f, -1)
+    (target,) = targets
+    steps = _hit_step(f, -1)
+    edge = _edges(_cycle(start, D, root)[0])[0]
+    _, walked = _walked(bqf._cycle_hit, start, targets, root)
+    assert bqf._count_to(start, 0, start, target, root) == steps
+    for limit in (2, edge - edge % 2, edge + 2, walked - 2):
+        end, head = bqf._cycle_hit(start, targets, root, limit)
+        assert end not in targets and (len(head) > edge) is (limit > edge), limit
+        assert bqf._count_to(start, len(head), end, target, root) == steps, limit
 
 
 def test_closed_walk_builds_no_product(monkeypatch):
@@ -619,7 +747,10 @@ def test_closed_walk_builds_no_product(monkeypatch):
 
 
 def test_represents_hard_cell_100135_2():
-    # hit after 262,763 steps of rho; ~25 s with sequential products (2-core x86-64)
+    # the hit is 262,763 steps of rho on; ~25 s with sequential products
+    # (2-core x86-64).  The walk takes 2,048 steps, strides find the hit,
+    # and the count walks 136,216: to the first edge at step 124,499, then
+    # from tau of the start at step 248,999
     f = _minus_two_form(100135, 2)
     dec = represents(f, -1)
     assert dec.status is DecisionStatus.WITNESS
@@ -815,9 +946,11 @@ def test_giant_strides_match_the_walk(monkeypatch, switch, window):
     monkeypatch.setattr(bqf, "_SWITCH", switch)
     monkeypatch.setattr(bqf, "_window_size", lambda D: window)
     assert _decisions(cells) == walked
-    # strides settle hits and closed cycles; the walk takes over on fewer cells
+    # strides settle hits and closed cycles; the walk takes over on fewer
+    # cells.  An ambiguous cycle of up to twice the switch closes in the
+    # mirrored head: at (64, 24), 38 closed cycles are left to the strides
     hits, closed, walks = (log.count(name) for name in ("_signed_strides", "closed", "_walk_on"))
-    assert hits > 300 and closed > 40 and walks < hits + closed
+    assert hits > 300 and closed > 30 and walks < hits + closed
 
 
 def test_giant_strides_match_the_walk_on_small_forms(monkeypatch):
