@@ -2,7 +2,6 @@
 
 from .bqf import (
     DEFAULT_MODULI,
-    DecisionMethod,
     DecisionStatus,
     QuadraticForm,
     RepDecision,
@@ -18,7 +17,6 @@ from .certify import (
     decide_conclusion,
     expected_dim_bn24,
     gap_lower_bound,
-    lemma21_check,
 )
 from .clifford import (
     CliffordReport,
@@ -40,8 +38,6 @@ from .lattice import (
     minus_two_form,
     minus_two_status,
     pair,
-    square_zero_form,
-    square_zero_status,
 )
 
 __version__ = "0.1.0"

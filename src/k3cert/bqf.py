@@ -115,26 +115,12 @@ class DecisionStatus(Enum):
     NONE_PROVED = "none_proved"
 
 
-class DecisionMethod(Enum):
-    MOD_SCAN = "mod_scan"
-    PELL_SEARCH = "pell_search"
-
-
 class RepDecision(NamedTuple):
     """Outcome of a representability query, with its supporting evidence."""
 
     status: DecisionStatus
     witness: tuple[int, int] | None = None
     modulus: int | None = None
-
-    @property
-    def method(self) -> DecisionMethod:
-        """The residue scan settles exactly the obstructed outcomes; every
-        other outcome comes from the proper-equivalence decision, which
-        compares genus characters and then walks the reduction cycle."""
-        if self.status is DecisionStatus.OBSTRUCTED_MOD:
-            return DecisionMethod.MOD_SCAN
-        return DecisionMethod.PELL_SEARCH
 
     @classmethod
     def witness_of(cls, m: int, n: int) -> "RepDecision":
@@ -181,22 +167,16 @@ def zero_witness(f: QuadraticForm) -> tuple[int, int] | None:
     return (m, n)
 
 
-def modular_obstruction(f: QuadraticForm, t: int,
-                        moduli: Sequence[int] = DEFAULT_MODULI) -> int | None:
-    """First modulus k for which Q(m, n) = t (mod k) has no solution, if any.
+def modular_obstruction(f: QuadraticForm, t: int) -> int | None:
+    """First modulus k in DEFAULT_MODULI for which Q(m, n) = t (mod k) has
+    no solution, if any.
 
     Exhausts all residue pairs, so a returned modulus is a sound proof that
     t is not represented over the integers.  The answer for one k depends
     only on the coefficients and t mod k, so it is memoised on those
-    residues: a scan of K3 cells meets at most 451 distinct keys over
-    DEFAULT_MODULI.  A modulus below 2 raises ValueError before any modulus
-    is scanned; DEFAULT_MODULI is known valid and is not re-checked.
+    residues: a scan of K3 cells meets at most 451 distinct keys.
     """
-    if moduli is not DEFAULT_MODULI:
-        small = [k for k in moduli if k < 2]
-        if small:
-            raise ValueError(f"moduli must be >= 2, got {small[0]}")
-    for k in moduli:
+    for k in DEFAULT_MODULI:
         if not _residue_hit(k, f.a % k, f.b % k, f.c % k, t % k):
             return k
     return None

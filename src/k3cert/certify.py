@@ -37,12 +37,6 @@ def check_hypotheses(g: int, s: int) -> str:
     return REGIME_OUTSIDE
 
 
-def lemma21_check(g: int, s: int) -> bool:
-    """True when d^2 - 6(2g-2) is not a perfect square (d = g - s)."""
-    v = (g - s) ** 2 - 6 * (2 * g - 2)
-    return v < 0 or integer_sqrt(v) is None
-
-
 def expected_dim_bn24(g: int, s: int) -> int:
     """Expected dimension -4s - 11 of the locus of stable rank-2 degree-(g-s)
     bundles with at least 4 sections, cross-checked against the general
@@ -124,7 +118,7 @@ def build_certificate(g: int, s: int) -> Certificate:
         reasons.append(f"(g, s) = ({g}, {s}) lies outside both hypothesis ranges")
 
     # Delta < 0 or nonsquare is both Lemma 2.1 and the absence of isotropic
-    # classes: square_zero_form has discriminant 4 * Delta.
+    # classes: the form D.D = 6m^2 + 2dmn + (2g-2)n^2 has discriminant 4 * Delta.
     delta = cfg.delta
     lemma21_ok = square_zero_free = delta < 0 or integer_sqrt(delta) is None
     if not lemma21_ok:

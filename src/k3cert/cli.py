@@ -43,8 +43,11 @@ CSV_COLUMNS = ("g", "s", "d", "regime", "lemma21_ok", "square_zero_free", "minus
 # the text of a bool in CSV and in certificate text, indexed by the bool
 _BOOL_TEXT = ("false", "true")
 
-# the text of a decision's method, by its status
-_METHOD_TEXT = {status: RepDecision(status).method.value for status in DecisionStatus}
+# the text of a decision's method, by its status: the residue scan settles
+# exactly the obstructed outcomes, and every other outcome comes from the
+# proper-equivalence decision (genus characters, then the reduction cycle)
+_METHOD_TEXT = {DecisionStatus.WITNESS: "pell_search", DecisionStatus.OBSTRUCTED_MOD: "mod_scan",
+                DecisionStatus.NONE_PROVED: "pell_search"}
 
 
 def frac_str(x: Fraction) -> str:
@@ -235,8 +238,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     finally:
         if args.out is not None:
             out.close()
+    max_gap = summary["max_gap"]
     print(f"scan: {summary['cells']} cells, {summary['theorem_applies']} theorem_applies, "
-          f"max gap {summary['max_gap']}", file=sys.stderr)
+          + ("no max gap" if max_gap is None else f"max gap {max_gap}"), file=sys.stderr)
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bqf import QuadraticForm, RepDecision, represents, zero_witness
+from .bqf import QuadraticForm, RepDecision, represents
 
 
 @dataclass(frozen=True)
@@ -18,8 +18,8 @@ class K3Config:
 
     d and delta, the discriminant d^2 - 12(g-1) that every numeric
     hypothesis reads (the Lemma 2.1 quantity d^2 - 6(2g-2), the discriminant
-    of minus_two_form, a quarter of that of square_zero_form, and the
-    Clifford root gap), are computed once, at construction.  Like g and s
+    of minus_two_form, a quarter of that of the self-intersection form, and
+    the Clifford root gap), are computed once, at construction.  Like g and s
     they are read-only; they take no part in repr, equality or hashing.
 
     The theorem-level hypothesis ranges (s >= -1, genus bounds) are checked
@@ -78,19 +78,9 @@ def deg_C(cfg: K3Config, dc: DivisorClass) -> int:
     return cfg.d * dc.m + (2 * cfg.g - 2) * dc.n
 
 
-def square_zero_form(cfg: K3Config) -> QuadraticForm:
-    """The self-intersection form D.D = 6m^2 + 2dmn + (2g-2)n^2."""
-    return QuadraticForm(6, 2 * cfg.d, 2 * cfg.g - 2)
-
-
 def minus_two_form(cfg: K3Config) -> QuadraticForm:
     """Half the self-intersection form; D.D = -2 iff this form takes -1."""
     return QuadraticForm(3, cfg.d, cfg.g - 1)
-
-
-def square_zero_status(cfg: K3Config) -> bool:
-    """True when some nonzero class D has D.D = 0 (an isotropic class)."""
-    return zero_witness(square_zero_form(cfg)) is not None
 
 
 def minus_two_status(cfg: K3Config) -> RepDecision:

@@ -22,7 +22,6 @@ from k3cert.certify import (
     decide_conclusion,
     expected_dim_bn24,
     gap_lower_bound,
-    lemma21_check,
 )
 from k3cert.cli import run_scan, scan_row
 from k3cert.clifford import (
@@ -42,6 +41,8 @@ from k3cert.lattice import (
     minus_two_status,
     pair,
 )
+
+from delta_oracles import lemma21_check
 
 
 @contextmanager

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from k3cert import bqf
 from k3cert.bqf import (
     DEFAULT_MODULI,
-    DecisionMethod,
     DecisionStatus,
     QuadraticForm,
     RepDecision,
@@ -103,17 +102,10 @@ def test_isotropic_constructions_have_witness(a, b, m0):
 # -- modular obstructions -----------------------------------------------------
 
 def test_modular_obstruction_examples():
-    assert modular_obstruction(QuadraticForm(3, 12, 12), -1, [3]) == 3
-    assert modular_obstruction(QuadraticForm(3, 7, 3), -1, [3, 4, 5]) is None
-    assert modular_obstruction(QuadraticForm(1, 0, 1), -1, [4]) == 4
-
-
-def test_modular_obstruction_rejects_small_modulus():
-    with pytest.raises(ValueError):
-        modular_obstruction(QuadraticForm(1, 1, 1), 1, [1])
-    # every modulus is checked, also past one that obstructs
-    with pytest.raises(ValueError):
-        modular_obstruction(QuadraticForm(3, 12, 12), -1, (3, 0))
+    assert modular_obstruction(QuadraticForm(3, 12, 12), -1) == 3
+    assert modular_obstruction(QuadraticForm(3, 7, 3), -1) is None
+    # m^2 + n^2 takes -1 mod 3 (1 + 1) but not mod 4
+    assert modular_obstruction(QuadraticForm(1, 0, 1), -1) == 4
 
 
 @settings(max_examples=120, deadline=None)
@@ -121,16 +113,16 @@ def test_modular_obstruction_rejects_small_modulus():
        st.integers(-2, 2))
 def test_modular_obstruction_sound(a, b, c, t):
     f = QuadraticForm(a, b, c)
-    k = modular_obstruction(f, t, DEFAULT_MODULI)
+    k = modular_obstruction(f, t)
     if k is not None:
         residues = {f.evaluate(m, n) % k for m in range(k) for n in range(k)}
         assert t % k not in residues
         assert brute_find(f, t, 25) is None
 
 
-def _plain_obstruction(a: int, b: int, c: int, t: int, moduli):
+def _plain_obstruction(a: int, b: int, c: int, t: int):
     # independent reference: the unmemoised double loop over residue pairs
-    for k in moduli:
+    for k in DEFAULT_MODULI:
         for m in range(k):
             for n in range(k):
                 if (a * m * m + b * m * n + c * n * n - t) % k == 0:
@@ -147,18 +139,12 @@ def test_memoised_residue_test_matches_plain_double_loop():
     queries = [(QuadraticForm(a, b, c), t)
                for a in range(-9, 10) for b in range(-9, 10) for c in range(-9, 10)
                for t in range(-2, 3)]
-    for moduli in (DEFAULT_MODULI, (7,), (16, 3), (5, 7, 11)):
-        expected = [_plain_obstruction(f.a, f.b, f.c, t, moduli) for f, t in queries]
-        bqf._residue_hit.cache_clear()
-        for _ in ("cold", "warm"):
-            assert [modular_obstruction(f, t, moduli) for f, t in queries] == expected, moduli
+    expected = [_plain_obstruction(f.a, f.b, f.c, t) for f, t in queries]
+    bqf._residue_hit.cache_clear()
+    for _ in ("cold", "warm"):
+        assert [modular_obstruction(f, t) for f, t in queries] == expected
     assert bqf._residue_hit.cache_info().hits > 0
     assert bqf._residue_hit.cache_info().maxsize is not None
-    # the warm cache does not skip the modulus check, in the given order
-    f = QuadraticForm(1, 1, 1)
-    for moduli in ((3, 1), (0,), (-4,)):
-        with pytest.raises(ValueError):
-            modular_obstruction(f, 1, moduli)
 
 
 # -- complete representability decision ---------------------------------------
@@ -167,17 +153,14 @@ def test_represents_named_examples():
     dec = represents(QuadraticForm(3, 7, 3), -1)
     assert dec.status is DecisionStatus.WITNESS
     assert QuadraticForm(3, 7, 3).evaluate(*dec.witness) == -1
-    assert dec.method is DecisionMethod.PELL_SEARCH
     assert repr(dec) == (
         "RepDecision(status=<DecisionStatus.WITNESS: 'witness'>, witness=(1, -1), modulus=None)")
 
     dec = represents(QuadraticForm(3, 11, -9), -1)
     assert dec.status is DecisionStatus.NONE_PROVED
-    assert dec.method is DecisionMethod.PELL_SEARCH
 
     dec = represents(QuadraticForm(3, 12, 12), -1)
     assert dec.status is DecisionStatus.OBSTRUCTED_MOD and dec.modulus == 3
-    assert dec.method is DecisionMethod.MOD_SCAN
 
     dec = represents(QuadraticForm(3, 15, 15), -1)
     assert dec.status is DecisionStatus.OBSTRUCTED_MOD and dec.modulus == 3
@@ -807,7 +790,6 @@ def test_genus_character_settles_without_a_walk(monkeypatch):
     monkeypatch.setattr(bqf, "_cycle_hit", lambda *args: pytest.fail("walked the cycle"))
     dec = represents(QuadraticForm(3, 23, 23), -1)
     assert dec.status is DecisionStatus.NONE_PROVED
-    assert dec.method is DecisionMethod.PELL_SEARCH
 
 
 def test_genus_step_never_hides_a_hit():
@@ -831,7 +813,7 @@ def test_genus_characters_match_residue_scan():
             for t in (-2, -1, 1, 2):
                 key = (a % p, b % p, c % p, t % p, p)
                 if key not in scan:
-                    scan[key] = modular_obstruction(QuadraticForm(*key[:3]), t, (p,)) == p
+                    scan[key] = not bqf._residue_hit(p, *key[:4])
                 assert bqf._character_fails((a, b, c), t, p) is scan[key], ((a, b, c), t, p)
                 fails += scan[key]
     assert fails > 20_000

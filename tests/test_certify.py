@@ -15,7 +15,6 @@ from k3cert.certify import (
     decide_conclusion,
     expected_dim_bn24,
     gap_lower_bound,
-    lemma21_check,
 )
 from k3cert.clifford import gamma, verify_clifford
 from k3cert.lattice import (
@@ -24,9 +23,9 @@ from k3cert.lattice import (
     K3Config,
     minus_two_form,
     pair,
-    square_zero_form,
-    square_zero_status,
 )
+
+from delta_oracles import lemma21_check, square_zero_form, square_zero_status
 
 
 def test_check_hypotheses_examples():

@@ -412,6 +412,17 @@ def test_scan_empty_admissible_set(capsys):
     captured = capsys.readouterr()
     lines = captured.out.strip().splitlines()
     assert lines == [",".join(CSV_COLUMNS)]
+    # no cell, so no gap: the summary line says so, and the JSON summary is null
+    assert captured.err == "scan: 0 cells, 0 theorem_applies, no max gap\n"
+    assert main(["scan", "--g-min", "1", "--g-max", "5", "--s-min", "0", "--s-max", "1",
+                 "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "rows": [],
+        "summary": {"cells": 0, "theorem_applies": 0, "max_gap": None, "max_gap_at": None}}
+    assert captured.err == "scan: 0 cells, 0 theorem_applies, no max gap\n"
+    assert main(["scan", "--g-min", "19", "--g-max", "19", "--s-min", "1", "--s-max", "1"]) == 0
+    assert capsys.readouterr().err == "scan: 1 cells, 1 theorem_applies, max gap 2/1\n"
 
 
 def test_scan_invalid_ranges_exit_two(capsys):

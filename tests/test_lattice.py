@@ -13,9 +13,9 @@ from k3cert.lattice import (
     minus_two_form,
     minus_two_status,
     pair,
-    square_zero_form,
-    square_zero_status,
 )
+
+from delta_oracles import square_zero_form, square_zero_status
 
 configs = st.builds(K3Config, g=st.integers(2, 400), s=st.integers(-30, 30))
 classes = st.builds(DivisorClass, m=st.integers(-50, 50), n=st.integers(-50, 50))
