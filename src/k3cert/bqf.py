@@ -45,12 +45,14 @@ A walk that has not ended after _SWITCH steps goes on with giant strides
 composition with the principal form three quarters of a window along the
 principal cycle, and reduction, jump that far along the cycle at once, with
 an exact transform.  Each target, and the start of the cycle, has one window
-of consecutive forms, and a stride that lands in one settles the walk.  A
-stride's transform is the walk's only up to sign, which depends on the
-number of steps mod 4, so a hit still counts its steps: a cycle walk goes
-on to the target, recording nothing, and jumps to tau of the start at the
-first edge it meets.  The witness is assembled from the strides in a
-balanced product tree in Q(sqrt(D)).
+of consecutive forms.  The strides start at the last form of the start
+window: one that lands in a target's window has met the first target, and
+one that lands in the start window has gone round the cycle.  A stride's
+transform is the walk's only up to sign, which depends on the number of
+steps mod 4, so a hit still counts its steps: a cycle walk goes on to the
+target, recording nothing, and jumps to tau of the start at the first edge
+it meets.  The witness is assembled from the walk's exact transform to the
+first stride and the strides, in a balanced product tree in Q(sqrt(D)).
 """
 
 from __future__ import annotations
@@ -409,9 +411,13 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 # window of consecutive forms: one at the start of the cycle and one after
 # each reduced target (_certified); shorter than a cycle, its transform is
 # then the walk's up to sign.  So a stride that passes a window's first
-# form lands in that window: the first stride that lands in a target's
-# window has passed the first target met, and strides from the start that
-# land in its window again have gone round the cycle past every target.
+# form lands in that window.  The strides start at f_last, the last form of
+# the start window, and the walk met no target in its first len(head) >= W
+# steps, so no target window holds f_last or any form up to the first target:
+# the first stride that lands in a target's window has passed the first
+# target met, and one that lands in the start window has gone round the
+# cycle past every target.  A hit prepends the walk's exact transform from
+# f_red to f_last.
 #
 # A stride's transform is the walk's only up to sign, and the walk's sign
 # depends on its number of steps mod 4, which no form shows.  So a hit
@@ -479,13 +485,10 @@ def _reach(start: _Form, end: _Form, shears: Sequence[int], root: int) -> int:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) > 0, for b != 0."""
+    g = gcd(a, b)
+    x = pow(a // g, -1, abs(b) // g)  # 0 when |b| = g
+    return g, x, (g - x * a) // b
 
 
 def _stride(form: _Form, h: _Form, lam: tuple[int, int], D: int,
@@ -498,16 +501,15 @@ def _stride(form: _Form, h: _Form, lam: tuple[int, int], D: int,
     lambda(M) = (X + Y*sqrt(D))/2.  The lattice [1, omega] of the Dirichlet
     composite (Cox, sec. 3) is e/lambda(M) times the form's, with
     e = gcd(a1, a2, (b1 + b2)/2), so a transform from `form` to the
-    composite has lambda(M)/e, and reduction multiplies in its own."""
+    composite has lambda(M)/e, and reduction multiplies in its own.  Its
+    middle coefficient B = b1 (mod 2a1/e), B = b2 (mod 2a2/e) and
+    B^2 = D (mod 4a3) is unique mod 2|a3|, whatever the Bezout
+    coefficients; b1 + b2 > 0, as the forms are reduced."""
     a1, b1, _ = form
     a2, b2, _ = h
-    if gcd(a1, a2) == 1:
-        e, m = 1, abs(a1)
-        B = b2 + 2 * a2 * ((b1 - b2) // 2 * pow(a2, -1, m) % m)
-    else:
-        g, x1, y1 = _xgcd(a1, a2)
-        e, x, w = _xgcd(g, (b1 + b2) // 2)
-        B = (x * x1 * a1 * b2 + x * y1 * a2 * b1 + w * (b1 * b2 + D) // 2) // e
+    g, x1, y1 = _xgcd(a1, a2)
+    e, x, w = _xgcd(g, (b1 + b2) // 2)
+    B = (x * x1 * a1 * b2 + x * y1 * a2 * b1 + w * (b1 * b2 + D) // 2) // e
     a3 = a1 * a2 // (e * e)
     B %= 2 * abs(a3)
     landing, (p, _, r, _) = _reduce((a3, B, (B * B - D) // (4 * a3)), D, root)
@@ -545,18 +547,18 @@ _Window = tuple[dict[int, int], _Form, list[int]]  # keys -> step, target, shear
 
 
 def _landed(landing: _Form, windows: list[_Window], start: dict[int, int],
-            K2: int) -> tuple[tuple[int, _Form, list[int]] | None, int | None]:
+            K2: int) -> tuple[tuple[int, _Form, list[int]] | None, bool]:
     """Where a stride landed: the (step, target, shears) of the target
     window that holds `landing` furthest from its target, whose target is
-    then the first met, or None; and its step in the window at the start
-    of the cycle, or None."""
+    then the first met, or None; and whether the window at the start of the
+    cycle holds it."""
     a, b, _ = landing
     key = a * K2 + b  # one key to a reduced form, as 0 < b <= root
     met = max(((win[key], g, shears) for win, g, shears in windows if key in win), default=None)
-    return met, start.get(key)
+    return met, key in start
 
 
-def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat],
+def _giant(f_red: _Form, end: _Form, head: list[int], targets: Collection[_Form],
            D: int, root: int) -> tuple[_Form, list[_Node]] | None:
     """Finish by giant strides the walk of the cycle of f_red, which reached
     `end` after the quotients `head` and met neither a target nor f_red again.
@@ -590,36 +592,28 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: dict[_Form, _Mat]
         return _walk_on(f_red, head, end, targets, root)
     M = _matmul(m_p, _product(pshears))
     lam = (2 * M[0] + M[2] * B, -M[2])
-    # strides from f_red, so that the walk's head is not multiplied out.  A
-    # landing in the start window is still on its first pass when none has
-    # landed beyond the window and it is further in than the one before (no
-    # stride is a whole cycle); a target is not passed there, as the walk
-    # found none in its first `len(head)` >= W steps, and a target window
-    # that holds it has wrapped past the end of the cycle.  Any other
-    # landing in the start window has gone round the cycle.
+    # strides from f_last (see the comment above _SWITCH); each moves at
+    # least one step, and a cycle has fewer than _cycle_bound forms (capped
+    # at maxsize, repeat's C ssize_t count)
     strides: list[_Node] = []
-    form, beyond, index = f_red, False, 0
-    # each stride moves at least one step, and a cycle has fewer than
-    # _cycle_bound forms (capped at maxsize, repeat's C ssize_t count)
+    form = f_last
     for _ in repeat(None, min(_cycle_bound(root), maxsize)):
         landing, p, r = _stride(form, h, lam, D, root)
         if not _certified(form, landing, p, r, root, reach):
             return _walk_on(f_red, head, end, targets, root)
         strides.append((form, p, r))
-        met, at = _landed(landing, windows, start_keys, K2)
-        if at is not None and not beyond and at > index:
-            index = at
-        elif met is not None:
-            return _signed_strides(f_red, len(head), end, strides, landing, *met, root)
-        elif at is not None:
+        met, closed = _landed(landing, windows, start_keys, K2)
+        if met is not None:
+            head_node = (f_red, *_apply(fshears, (1, 0)))
+            return _signed_strides(f_red, len(head), end, [head_node, *strides], landing,
+                                   *met, root)
+        if closed:
             return None
-        else:
-            beyond = True
         form = landing
     raise RuntimeError("internal error: the giant strides ran past the bound on the cycle length")
 
 
-def _walk_on(f_red: _Form, head: list[int], end: _Form, targets: dict[_Form, _Mat],
+def _walk_on(f_red: _Form, head: list[int], end: _Form, targets: Collection[_Form],
              root: int) -> tuple[_Form, list[_Node]] | None:
     """The plain walk from `end`, reached from f_red by the quotients `head`;
     it closes within one cycle."""
@@ -642,7 +636,9 @@ def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
     steps, up to the sign of the strides: rho steps from a form with first
     coefficient a give lambda the sign _walk_sign(a, steps), and a stride
     from (a, b, c) to (a', b', c') with entry r has the sign of a'r, since
-    lambda is small beside conj(lambda) - lambda = r*sqrt(D)/a.  So only
+    lambda is small beside conj(lambda) - lambda = r*sqrt(D)/a.  That holds
+    for the first node too, the walk's own transform to the start of the
+    strides: |lambda| < 1 <= |r| < |r|sqrt(D)/|a| for a reduced form.  So only
     the number of steps from f_red to g is needed: `walked` and those of the
     walk from `end` to g, mirrored (_count_to) when g has a | b."""
     if _mirrors((g,)):
@@ -804,21 +800,22 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     if _genus_obstructed(form, t, D):
         return RepDecision.none_proved()
     f_red, m_f = _reduce(form, D, root)
-    targets: dict[_Form, _Mat] = {}
+    # each reduced target, with the first column of the inverse of its
+    # reduction's transform
+    targets: dict[_Form, tuple[int, int]] = {}
     four_t = 4 * t
     for B in range(2 * abs(t)):
         if (B * B - D) % four_t == 0:
             C = (B * B - D) // four_t
-            g_red, m_g = _reduce((t, B, C), D, root)
-            targets.setdefault(g_red, m_g)
+            g_red, (_, _, r, s) = _reduce((t, B, C), D, root)
+            targets.setdefault(g_red, (s, -r))
     found = _cycle_hit(f_red, targets, root, _SWITCH) if targets else None
     if found is None:
         return RepDecision.none_proved()
     hit, quotients = found
     if hit in targets:
-        m_g = targets[hit]
         # the first column of m_f * m_cycle * inverse(m_g)
-        x, y = _apply(_signed(quotients, f_red[0]), (m_g[3], -m_g[2]))
+        x, y = _apply(_signed(quotients, f_red[0]), targets[hit])
         p, q, r, s = m_f
         m, n = p * x + q * y, r * x + s * y
     else:
@@ -826,8 +823,7 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
         if walked is None:
             return RepDecision.none_proved()
         hit, nodes = walked
-        m_g = targets[hit]
-        m, n = _column([(form, m_f[0], m_f[2]), *nodes, (hit, m_g[3], -m_g[2])], D)
+        m, n = _column([(form, m_f[0], m_f[2]), *nodes, (hit, *targets[hit])], D)
     # 4a*Q(m, n) = (2am + bn)^2 - D*n^2, and a != 0 since D is not a square
     a = f.a
     if (2 * a * m + f.b * n) ** 2 - D * (n * n) != 4 * a * t:

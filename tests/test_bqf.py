@@ -3,7 +3,7 @@ import inspect
 import random
 import sys
 from functools import reduce
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -936,6 +936,27 @@ def test_giant_strides_match_the_walk(monkeypatch, switch, window):
     assert hits > 300 and closed > 40 and walks < hits + closed
 
 
+def test_strides_close_on_their_first_landing(monkeypatch):
+    # the strides start at the last form of the start window, so a cycle a
+    # little longer than the window closes on its first stride, whose
+    # landing is already in the start window
+    cells = [(g, s) for g in range(2, 400) for s in range(-3, 40)
+             if (g - s) ** 2 > 12 * (g - 1)
+             and isqrt((g - s) ** 2 - 12 * (g - 1)) ** 2 != (g - s) ** 2 - 12 * (g - 1)]
+    monkeypatch.setattr(bqf, "_SWITCH", 10 ** 9)
+    walked = _decisions(cells)
+    log = _log_strides(monkeypatch)
+    monkeypatch.setattr(bqf, "_SWITCH", 16)
+    monkeypatch.setattr(bqf, "_window_size", lambda D: 16)
+    strided, first = [], 0
+    for cell in cells:
+        start = len(log)
+        strided += _decisions([cell])
+        first += log[start:] == ["_landed", "closed"]
+    assert strided == walked
+    assert first > 40 and log.count("closed") > first
+
+
 def test_giant_strides_match_the_walk_on_small_forms(monkeypatch):
     queries = [(QuadraticForm(*form), t) for form, _ in _small_indefinite_forms()
                if abs(form[0]) <= 8 and abs(form[2]) <= 8 for t in (-2, -1, 1, 2)]
@@ -961,7 +982,7 @@ def test_giant_strides_stop_at_the_cycle_bound(monkeypatch):
     # (81, 2) until the bound on the cycle length, then fail at once
     monkeypatch.setattr(bqf, "_SWITCH", 16)
     monkeypatch.setattr(bqf, "_window_size", lambda D: 16)
-    monkeypatch.setattr(bqf, "_landed", lambda *args: (None, None))
+    monkeypatch.setattr(bqf, "_landed", lambda *args: (None, False))
     with pytest.raises(RuntimeError, match="internal error"):
         represents(_minus_two_form(81, 2), -1)
 
@@ -1034,6 +1055,55 @@ def test_lambda_tree_matches_matrix_products():
         shears += segment
     p, _, r, _ = _sequential_shear_product(shears)
     assert bqf._column(chain, D) == (p, r)
+
+
+def test_xgcd_is_a_bezout_identity():
+    rng = random.Random(5)
+    pairs = [(0, 7), (0, -7), (12, 4), (-12, -4), (5, 1), (5, -1), (1, 1)]
+    for _ in range(2000):
+        a, b = (rng.choice((-1, 1)) * rng.randrange(1 << rng.randint(1, 80)) for _ in range(2))
+        g = gcd(a, b) or 1
+        k = rng.randrange(1, 1 << 40)
+        pairs += [(a, b or 1), (a, g), (a, -g), (a * k, b * k or k)]
+    for a, b in pairs:
+        g, x, y = bqf._xgcd(a, b)
+        assert x * a + y * b == g == gcd(a, b) > 0, (a, b)
+
+
+def test_stride_composite_solves_the_composition_congruences(monkeypatch):
+    # the middle coefficient B of the composite (a3, B, C) of a reduced form
+    # (a1, b1, c1) with a principal form (a2, b2, c2), e = gcd(a1, a2,
+    # (b1 + b2)/2): B = b1 (mod 2a1/e), B = b2 (mod 2a2/e), B^2 = D (mod 4a3),
+    # for coprime first coefficients and others
+    composites = []
+    reduce_ = bqf._reduce
+
+    def logged(form, D, root):
+        composites.append(form)
+        return reduce_(form, D, root)
+    monkeypatch.setattr(bqf, "_reduce", logged)
+    coprime = shared = 0
+    for cell in [(2315, 10), (4417, 0), (81, 2), (1000, 7), (3001, 9)]:
+        start, _, D, root = _walk_setup(_minus_two_form(*cell), -1)
+        B = D & 1
+        principal = [reduce_((1, B, (B * B - D) // 4), D, root)[0]]
+        for _ in range(30):
+            principal.append(_rho(principal[-1], D, root)[0])
+        form = start
+        for _ in range(60):
+            form = _rho(form, D, root)[0]
+            for h in principal[1::3]:
+                (a1, b1, _), (a2, b2, _) = form, h
+                composites.clear()
+                bqf._stride(form, h, (2, 0), D, root)
+                a3, B, _ = composites[0]
+                e = gcd(a1, a2, (b1 + b2) // 2)
+                assert a3 == a1 * a2 // (e * e) and 0 <= B < 2 * abs(a3)
+                assert (B - b1) % (2 * a1 // e) == 0 and (B - b2) % (2 * a2 // e) == 0
+                assert (B * B - D) % (4 * a3) == 0
+                coprime += gcd(a1, a2) == 1
+                shared += gcd(a1, a2) > 1
+    assert coprime > 100 and shared > 100, (coprime, shared)
 
 
 def test_stride_certificate_is_sound_and_not_vacuous():
