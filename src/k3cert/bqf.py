@@ -468,20 +468,18 @@ def _window(start: _Form, steps: int,
     return keys, _signed(quotients, sign), (u * (A >> 1), b, -u * (C >> 1)), False
 
 
-def _reach(start: _Form, end: _Form, shears: Sequence[int], root: int) -> int:
+def _reach(start: _Form, end: _Form, r_walk: int, root: int) -> int:
     """A bound L such that a forward transform (see _certified) is shorter
-    than the walk of `shears` from `start` to `end` when its entry r and
-    the |a| of its ends satisfy |r|(isqrt(D) + 1) + |a| <= |a'| L.
+    than the walk from `start` to `end`, whose product of shears
+    [[0, -1], [1, s]] has entry r_walk, when its entry r and the |a| of its
+    ends satisfy |r|(isqrt(D) + 1) + |a| <= |a'| L.
 
     Any transform with first column (p, r) from (a, b, c) to (a', b', c')
     has conj(lambda) - lambda = r*sqrt(D)/a and |lambda conj(lambda)| = |a'/a|,
     so with |lambda| < 1, |lambda| > |a'|/(|r|(isqrt(D) + 1) + |a|) for the
     transform and |lambda| < |a_end|/(|r_walk| isqrt(D) - |a_start|) for the
-    walk, r_walk the entry r of the product of its shears [[0, -1], [1, s]]."""
-    r, t = 0, 1
-    for s in shears:
-        r, t = t, s * t - r
-    return (abs(r) * root - abs(start[0])) // abs(end[0])
+    walk."""
+    return (abs(r_walk) * root - abs(start[0])) // abs(end[0])
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -572,13 +570,14 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: Collection[_Form]
     W = min(_window_size(D), _SWITCH, len(head))
     K2 = 2 * (root + 1)
     start_keys, fshears, f_last, _ = _window(f_red, W, root)
-    reach = _reach(f_red, f_last, fshears, root)
+    f_col = _apply(fshears, (1, 0))  # (p, r) of the start window, the head node's too
+    reach = _reach(f_red, f_last, f_col[1], root)
     windows: list[_Window] = []
     for g in targets:
         gkeys, gshears, g_last, g_closed = _window(g, W, root)
         if not g_closed:  # else its cycle is shorter than f_red's
             windows.append((gkeys, g, gshears))
-            reach = min(reach, _reach(g, g_last, gshears, root))
+            reach = min(reach, _reach(g, g_last, _apply(gshears, (1, 0))[1], root))
     if not windows:
         return None
     # h is the form n_h steps along the principal cycle from the reduced
@@ -604,9 +603,8 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: Collection[_Form]
         strides.append((form, p, r))
         met, closed = _landed(landing, windows, start_keys, K2)
         if met is not None:
-            head_node = (f_red, *_apply(fshears, (1, 0)))
-            return _signed_strides(f_red, len(head), end, [head_node, *strides], landing,
-                                   *met, root)
+            return _signed_strides(f_red, len(head), end, [(f_red, *f_col), *strides],
+                                   landing, *met, root)
         if closed:
             return None
         form = landing

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bqf import DecisionStatus, RepDecision, int_text, integer_sqrt
+from .bqf import DecisionStatus, RepDecision, int_text
 from .clifford import CliffordReport, verify_clifford
 from .lattice import K3Config, minus_two_status
 
@@ -119,14 +119,13 @@ def build_certificate(g: int, s: int) -> Certificate:
 
     # Delta < 0 or nonsquare is both Lemma 2.1 and the absence of isotropic
     # classes: the form D.D = 6m^2 + 2dmn + (2g-2)n^2 has discriminant 4 * Delta.
-    delta = cfg.delta
-    lemma21_ok = square_zero_free = delta < 0 or integer_sqrt(delta) is None
+    lemma21_ok = square_zero_free = cfg.root * cfg.root != cfg.delta
     if not lemma21_ok:
         reasons.append("d^2 - 6(2g-2) is a perfect square")
         reasons.append("an isotropic divisor class exists")
 
     minus_two: RepDecision | None = None
-    if delta > 0 and lemma21_ok:
+    if cfg.delta > 0 and lemma21_ok:
         minus_two = minus_two_status(cfg)
         if minus_two.status is DecisionStatus.WITNESS:
             m, n = minus_two.witness  # type: ignore[misc]

@@ -19,7 +19,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .bqf import integer_sqrt
 from .lattice import DivisorClass, K3Config
 
 
@@ -71,16 +70,6 @@ def constraints(cfg: K3Config, m: int, n: int) -> tuple[bool, bool, bool]:
     return c1, c2, c3
 
 
-def _require_root_gap(cfg: K3Config) -> int:
-    """d^2 - 12(g-1), validated positive and nonsquare."""
-    gap = cfg.delta
-    if gap <= 0:
-        raise ValueError(f"requires d^2 > 12(g-1); got gap {gap} for (g, s) = ({cfg.g}, {cfg.s})")
-    if integer_sqrt(gap) is not None:
-        raise ValueError(f"requires d^2 - 12(g-1) nonsquare; got {gap} for (g, s) = ({cfg.g}, {cfg.s})")
-    return gap
-
-
 class CliffordReport(NamedTuple):
     """Result of minimizing f over the constraint region.
 
@@ -97,13 +86,14 @@ class CliffordReport(NamedTuple):
 
 
 def verify_clifford(cfg: K3Config) -> CliffordReport:
-    """Certified exact minimization of f over the full constraint region.
+    """Certified exact minimization of f over the full constraint region;
+    ValueError unless d^2 - 12(g-1) is positive and nonsquare.
 
     Finiteness: write R for the irrational sqrt(d^2 - 12(g-1)).  c1 forces
     m off the open interval between the roots -an and -bn of the quadratic
     in m, and combining the admissible side with the strip c2 yields
-    |n| * R < d - 2.  Hence |n| <= floor((d-2)/R).  The n bound is widened
-    by one for safety; the extra slices are checked and contribute nothing.
+    |n| * R < d - 2.  Hence |n| <= floor((d-2)/R), one less than the
+    report's bound_n, and only those slices are scanned.
 
     Each slice n is one interval of m, found in a constant number of integer
     operations.  Put v = 6m + nd.  Then 12(3m^2 + ndm + n^2(g-1)) equals
@@ -117,17 +107,20 @@ def verify_clifford(cfg: K3Config) -> CliffordReport:
     attaining the minimum, as in brute_force_min_f.  region_size is the sum
     of the interval lengths.
     """
-    gap = _require_root_gap(cfg)
-    d, g = cfg.d, cfg.g
+    d, g, gap = cfg.d, cfg.g, cfg.delta
+    if gap <= 0:
+        raise ValueError(f"requires d^2 > 12(g-1); got gap {gap} for (g, s) = ({g}, {cfg.s})")
+    if cfg.root * cfg.root == gap:
+        raise ValueError(f"requires d^2 - 12(g-1) nonsquare; got {gap} for (g, s) = ({g}, {cfg.s})")
     target = (g - 1) // 2
     if d <= 4:
         return CliffordReport(None, None, 0, 0, target, True)
     # floor((d-2)/R) = isqrt(floor((d-2)^2/R^2)), as floor(sqrt(x)) = isqrt(floor(x))
-    bound_n = isqrt((d - 2) ** 2 // gap) + 1
+    n_max = isqrt((d - 2) ** 2 // gap)
     best_val: int | None = None
     best_m = best_n = 0
     region = 0
-    for n in range(-bound_n, bound_n + 1):
+    for n in range(-n_max, n_max + 1):
         nd = n * d
         v_lo = max(3, isqrt(n * n * gap) + 1)
         m_lo = -((nd - v_lo) // 6)       # ceil((v_lo - nd)/6)
@@ -144,7 +137,7 @@ def verify_clifford(cfg: K3Config) -> CliffordReport:
                 best_val, best_m, best_n = v, m, n
     best_at = DivisorClass(best_m, best_n) if best_val is not None else None
     passed = best_val is None or best_val >= target
-    return CliffordReport(best_val, best_at, region, bound_n, target, passed)
+    return CliffordReport(best_val, best_at, region, n_max + 1, target, passed)
 
 
 def brute_force_min_f(cfg: K3Config, box_radius: int) -> CliffordReport:

@@ -8,6 +8,7 @@ H.C = d = g - s, C.C = 2g - 2.  Divisor classes are integer pairs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .bqf import QuadraticForm, RepDecision, represents
 
@@ -16,11 +17,12 @@ from .bqf import QuadraticForm, RepDecision, represents
 class K3Config:
     """A (genus, twist) pair; the curve degree d = g - s is derived.
 
-    d and delta, the discriminant d^2 - 12(g-1) that every numeric
-    hypothesis reads (the Lemma 2.1 quantity d^2 - 6(2g-2), the discriminant
-    of minus_two_form, a quarter of that of the self-intersection form, and
-    the Clifford root gap), are computed once, at construction.  Like g and s
-    they are read-only; they take no part in repr, equality or hashing.
+    d, delta = d^2 - 12(g-1) and root = isqrt(delta), 0 when delta < 0 (so
+    delta is a square exactly when root * root == delta), are computed once,
+    at construction; delta is Lemma 2.1's d^2 - 6(2g-2), the discriminant of
+    minus_two_form, a quarter of that of the self-intersection form, and the
+    Clifford root gap.  Like g and s they are read-only and take no part in
+    repr, equality or hashing.
 
     The theorem-level hypothesis ranges (s >= -1, genus bounds) are checked
     in :mod:`k3cert.certify`; here any g >= 2 is accepted so that
@@ -31,6 +33,7 @@ class K3Config:
     s: int
     d: int = field(init=False, repr=False, compare=False)
     delta: int = field(init=False, repr=False, compare=False)
+    root: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = self.g
@@ -39,6 +42,7 @@ class K3Config:
         d = g - self.s
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "delta", d * d - 12 * (g - 1))
+        object.__setattr__(self, "root", isqrt(max(self.delta, 0)))
 
 
 @dataclass(frozen=True)

@@ -1121,7 +1121,8 @@ def test_stride_certificate_is_sound_and_not_vacuous():
                 forms.append(nxt)
                 shears.append(s)
             for k in (8, 24, 60):
-                reach = bqf._reach(form, forms[k], shears[:k], root)
+                r_walk = _sequential_shear_product(shears[:k])[2]
+                reach = bqf._reach(form, forms[k], r_walk, root)
                 for m in range(1, 2 * k):
                     p, _, r, _ = _sequential_shear_product(shears[:m])
                     ok = bqf._certified(form, forms[m], p, r, root, reach)

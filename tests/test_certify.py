@@ -69,6 +69,12 @@ def test_delta_classification_matches_oracles():
             assert square_zero_form(cfg).discriminant() == 4 * delta
     # Delta < 0, Delta = 0, square Delta > 0 and nonsquare Delta > 0 all occur
     assert kinds == {"negative", "zero", "square", "nonsquare"}
+    # one cell of each degenerate kind: (lemma21_ok, square_zero_free)
+    for (g, s), flags in [((14, 10), (True, True)), ((4, -2), (False, False)),
+                          ((10, -2), (False, False))]:
+        cert = build_certificate(g, s)
+        assert (cert.lemma21_ok, cert.square_zero_free) == flags, (g, s)
+        assert cert.minus_two is None and cert.clifford is None, (g, s)
 
 
 def test_expected_dim_examples():

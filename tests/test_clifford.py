@@ -117,10 +117,14 @@ def test_verify_clifford_empty_region_is_vacuous_pass():
 
 
 def test_verify_clifford_rejects_degenerate():
-    with pytest.raises(ValueError):
-        verify_clifford(K3Config(10, -2))
-    with pytest.raises(ValueError, match=r"requires d\^2 > 12\(g-1\)"):
-        verify_clifford(K3Config(14, 10))
+    # Delta < 0, Delta = 0 and a square Delta > 0
+    for (g, s), message in [
+            ((14, 10), "requires d^2 > 12(g-1); got gap -140 for (g, s) = (14, 10)"),
+            ((4, -2), "requires d^2 > 12(g-1); got gap 0 for (g, s) = (4, -2)"),
+            ((10, -2), "requires d^2 - 12(g-1) nonsquare; got 36 for (g, s) = (10, -2)")]:
+        with pytest.raises(ValueError) as raised:
+            verify_clifford(K3Config(g, s))
+        assert str(raised.value) == message
 
 
 def test_region_bound_witness():
@@ -165,6 +169,37 @@ def test_verify_clifford_matches_oracle(cfg):
         assert k * k * gap <= (cfg.d - 2) ** 2 < (k + 1) ** 2 * gap
 
 
+def _c1_fails_on_c2_strip(cfg: K3Config, n: int) -> bool:
+    """True when no m with c2 at this n meets c1, read off constraints alone.
+
+    The strip of c2 is one interval of m; its ends are checked to be in it
+    and their outer neighbours out of it.  c1's quadratic 3m^2 + mnd +
+    n^2(g-1) is convex in m, so it is <= 0 on the whole interval once it is
+    at both ends."""
+    nd = n * cfg.d
+    m_lo, m_hi = (2 - nd) // 6 + 1, -((nd + 2 - cfg.d) // 6) - 1
+    if m_lo > m_hi:  # no v in [3, d - 3] is congruent to nd mod 6
+        return not any(constraints(cfg, m, n)[1] for m in range(m_hi, m_lo + 1))
+    assert [constraints(cfg, m, n)[1] for m in (m_lo - 1, m_lo, m_hi, m_hi + 1)] == [
+        False, True, True, False]
+    return not constraints(cfg, m_lo, n)[0] and not constraints(cfg, m_hi, n)[0]
+
+
+def test_slices_at_bound_n_hold_no_region_point():
+    # verify_clifford scans |n| <= bound_n - 1 only; at n = +-bound_n the
+    # strip c2 holds no point of c1.  Past d = 3g - 2, bound_n is 1.
+    checked = 0
+    for g in range(2, 400):
+        for s in range(-2 * g - 40, g - 4):
+            cfg = K3Config(g, s)
+            if _nondegenerate(cfg):
+                bound_n = verify_clifford(cfg).bound_n
+                assert _c1_fails_on_c2_strip(cfg, bound_n), (g, s)
+                assert _c1_fails_on_c2_strip(cfg, -bound_n), (g, s)
+                checked += 1
+    assert checked > 200_000
+
+
 @pytest.mark.parametrize("g, s, expected", [
     # the first two were recorded from a per-point enumeration of the region
     (10**6, 1, (999991, DivisorClass(1, 0), 2, 2, 499999, True)),
@@ -172,9 +207,12 @@ def test_verify_clifford_matches_oracle(cfg):
     (10**30, 1, (10**30 - 9, DivisorClass(1, 0), 2, 2, (10**30 - 1) // 2, True)),
 ])
 def test_verify_clifford_large_genus(g, s, expected):
-    rep = verify_clifford(K3Config(g, s))
+    cfg = K3Config(g, s)
+    rep = verify_clifford(cfg)
     assert (rep.min_value, rep.argmin, rep.region_size, rep.bound_n,
             rep.target, rep.passed) == expected
+    assert _c1_fails_on_c2_strip(cfg, rep.bound_n)
+    assert _c1_fails_on_c2_strip(cfg, -rep.bound_n)
 
 
 def test_clifford_report_internal_invariants():

@@ -1,3 +1,6 @@
+from dataclasses import FrozenInstanceError
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +29,25 @@ def test_k3config_basics():
     assert cfg.d == 18
     with pytest.raises(ValueError):
         K3Config(1, 0)
+
+
+def test_k3config_root():
+    # root is isqrt(delta), and 0 when delta < 0
+    for (g, s), delta, root in [((14, 10), -140, 0), ((4, -2), 0, 0), ((10, -2), 36, 6),
+                                ((19, 1), 108, 10)]:
+        cfg = K3Config(g, s)
+        assert (cfg.delta, cfg.root) == (delta, root)
+    for g in range(2, 200):
+        for s in range(-40, 60):
+            cfg = K3Config(g, s)
+            assert cfg.root == (isqrt(cfg.delta) if cfg.delta >= 0 else 0), (g, s)
+    # read-only, and no part of repr, equality or hashing
+    cfg = K3Config(19, 1)
+    with pytest.raises(FrozenInstanceError):
+        cfg.root = 11
+    object.__setattr__(cfg, "root", 11)
+    assert repr(cfg) == "K3Config(g=19, s=1)"
+    assert cfg == K3Config(19, 1) and hash(cfg) == hash(K3Config(19, 1))
 
 
 def test_pair_examples():
