@@ -14,10 +14,17 @@ p | D every form properly equivalent to (t, B, C) takes t mod p, so a form
 that does not is in another genus and is settled without a walk (Cox,
 *Primes of the Form x^2 + ny^2*, sec. 3; Buchmann & Vollmer, *Binary
 Quadratic Forms*, 2007).  Otherwise proper equivalence of indefinite
-forms is decided on reduction cycles, with the SL2 transforms tracked so
-that a concrete witness can be read off and re-verified before it is
+forms is decided on reduction cycles, with enough of the SL2 transforms
+kept that a concrete witness can be read off and re-verified before it is
 returned.  For |t| in {1, 2} every representation is automatically
 primitive, which is what makes the decision complete.
+
+The decision and the witness are two stages.  The decision (_decide)
+stops where the answer is known: at an obstruction, at a closed cycle, or
+at the first target met, which it returns with the quotients or strides
+that reach it and no witness.  represents, behind `check` and `form`, takes
+the decision and assembles the witness from it; a scan row takes the
+decision alone (k3cert.lattice), as it shows only the decision's method.
 
 The residue scan that runs before all of this is memoised on the
 coefficients and the target mod k, which is all its answer depends on.
@@ -31,7 +38,7 @@ keeps b (an edge) takes f_e to tau(f_e), so the form k + 1 steps past the
 edge is rho^k tau f_e = tau rho^-k f_e = tau(f_(e-k)); and rho(c, b, a) =
 (a, b, c) exactly when a | b, so such a target follows an edge.  The walk
 appends the quotients before its first edge reversed, goes on from tau of
-its start, and ends at its second edge.  After a hit, the
+its start, and ends at its second edge.  To assemble a witness, the
 quotients are signed into the walk's transform, one shear [[0, -1], [1, s]]
 per step, which is applied to a column vector, as only the witness is
 needed.  Up to _DIRECT shears they are applied one at a time, a two-term
@@ -47,12 +54,13 @@ principal cycle, and reduction, jump that far along the cycle at once, with
 an exact transform.  Each target, and the start of the cycle, has one window
 of consecutive forms.  The strides start at the last form of the start
 window: one that lands in a target's window has met the first target, and
-one that lands in the start window has gone round the cycle.  A stride's
-transform is the walk's only up to sign, which depends on the number of
-steps mod 4, so a hit still counts its steps: a cycle walk goes on to the
-target, recording nothing, and jumps to tau of the start at the first edge
-it meets.  The witness is assembled from the walk's exact transform to the
-first stride and the strides, in a balanced product tree in Q(sqrt(D)).
+one that lands in the start window has gone round the cycle; the decision
+ends at that landing.  A stride's transform is the walk's only up to sign,
+which depends on the number of steps mod 4, so the assembly of a strided
+hit counts its steps: a cycle walk goes on to the target, recording
+nothing, and jumps to tau of the start at the first edge it meets.  The
+witness is assembled from the walk's exact transform to the first stride
+and the strides, in a balanced product tree in Q(sqrt(D)).
 """
 
 from __future__ import annotations
@@ -178,8 +186,14 @@ def modular_obstruction(f: QuadraticForm, t: int) -> int | None:
     only on the coefficients and t mod k, so it is memoised on those
     residues: a scan of K3 cells meets at most 451 distinct keys.
     """
+    return _obstruction((f.a, f.b, f.c), t)
+
+
+def _obstruction(form: _Form, t: int) -> int | None:
+    """modular_obstruction of the form (a, b, c)."""
+    a, b, c = form
     for k in DEFAULT_MODULI:
-        if not _residue_hit(k, f.a % k, f.b % k, f.c % k, t % k):
+        if not _residue_hit(k, a % k, b % k, c % k, t % k):
             return k
     return None
 
@@ -416,12 +430,13 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 # steps, so no target window holds f_last or any form up to the first target:
 # the first stride that lands in a target's window has passed the first
 # target met, and one that lands in the start window has gone round the
-# cycle past every target.  A hit prepends the walk's exact transform from
-# f_red to f_last.
+# cycle past every target.  The decision ends there; its hit keeps the
+# strides, after the walk's exact transform from f_red to f_last, for the
+# assembly of the witness.
 #
 # A stride's transform is the walk's only up to sign, and the walk's sign
-# depends on its number of steps mod 4, which no form shows.  So a hit
-# counts the steps to the target by a cycle walk from where the walk
+# depends on its number of steps mod 4, which no form shows.  So the
+# assembly counts the steps to the target by a cycle walk from where the walk
 # stopped, with no product, and fixes the sign of the product of the
 # strides from that count (_signed_strides).  For a target with a | b the
 # count mirrors as the walk does, jumping to tau(f_red) at step 2e + 1
@@ -542,6 +557,9 @@ def _walk_sign(a: int, steps: int) -> int:
 
 _Node = tuple[_Form, int, int]  # a transform: its start form and first column
 _Window = tuple[dict[int, int], _Form, list[int]]  # keys -> step, target, shears
+# a hit met by giant strides: the arguments of _signed_strides between f_red
+# and root
+_Strided = tuple[int, _Form, list[_Node], _Form, int, _Form, list[int]]
 
 
 def _landed(landing: _Form, windows: list[_Window], start: dict[int, int],
@@ -557,27 +575,30 @@ def _landed(landing: _Form, windows: list[_Window], start: dict[int, int],
 
 
 def _giant(f_red: _Form, end: _Form, head: list[int], targets: Collection[_Form],
-           D: int, root: int) -> tuple[_Form, list[_Node]] | None:
+           D: int, root: int) -> tuple[_Form, list[int] | _Strided] | None:
     """Finish by giant strides the walk of the cycle of f_red, which reached
     `end` after the quotients `head` and met neither a target nor f_red again.
 
     Returns None when no target is on the cycle; else the first target met
-    and the walk's transform to it as nodes, each starting where the one
-    before it ends.  Falls back on the walk where a stride is not certified
-    or f_red is not primitive, as composition needs."""
+    and how the walk reached it: its quotients from f_red where the walk
+    took over (_walk_on), else the strides, for _signed_strides.  Falls
+    back on the walk where a stride is not certified or f_red is not
+    primitive, as composition needs."""
     if gcd(*f_red) != 1:
-        return _walk_on(f_red, head, end, targets, root)
+        return _walk_on(head, end, targets, root)
     W = min(_window_size(D), _SWITCH, len(head))
     K2 = 2 * (root + 1)
     start_keys, fshears, f_last, _ = _window(f_red, W, root)
-    f_col = _apply(fshears, (1, 0))  # (p, r) of the start window, the head node's too
-    reach = _reach(f_red, f_last, f_col[1], root)
+    # the start window's transform: its r bounds the strides, and its first
+    # column is the head node's
+    p_f, _, r_f, _ = _product(fshears)
+    reach = _reach(f_red, f_last, r_f, root)
     windows: list[_Window] = []
     for g in targets:
         gkeys, gshears, g_last, g_closed = _window(g, W, root)
         if not g_closed:  # else its cycle is shorter than f_red's
             windows.append((gkeys, g, gshears))
-            reach = min(reach, _reach(g, g_last, _apply(gshears, (1, 0))[1], root))
+            reach = min(reach, _reach(g, g_last, _product(gshears)[2], root))
     if not windows:
         return None
     # h is the form n_h steps along the principal cycle from the reduced
@@ -588,7 +609,7 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: Collection[_Form]
     p_red, m_p = _reduce((1, B, (B * B - D) // 4), D, root)
     _, pshears, h, p_closed = _window(p_red, n_h, root)
     if p_closed:
-        return _walk_on(f_red, head, end, targets, root)
+        return _walk_on(head, end, targets, root)
     M = _matmul(m_p, _product(pshears))
     lam = (2 * M[0] + M[2] * B, -M[2])
     # strides from f_last (see the comment above _SWITCH); each moves at
@@ -599,28 +620,27 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: Collection[_Form]
     for _ in repeat(None, min(_cycle_bound(root), maxsize)):
         landing, p, r = _stride(form, h, lam, D, root)
         if not _certified(form, landing, p, r, root, reach):
-            return _walk_on(f_red, head, end, targets, root)
+            return _walk_on(head, end, targets, root)
         strides.append((form, p, r))
         met, closed = _landed(landing, windows, start_keys, K2)
         if met is not None:
-            return _signed_strides(f_red, len(head), end, [(f_red, *f_col), *strides],
-                                   landing, *met, root)
+            return met[1], (len(head), end, [(f_red, p_f, r_f), *strides], landing, *met)
         if closed:
             return None
         form = landing
     raise RuntimeError("internal error: the giant strides ran past the bound on the cycle length")
 
 
-def _walk_on(f_red: _Form, head: list[int], end: _Form, targets: Collection[_Form],
-             root: int) -> tuple[_Form, list[_Node]] | None:
-    """The plain walk from `end`, reached from f_red by the quotients `head`;
-    it closes within one cycle."""
+def _walk_on(head: list[int], end: _Form, targets: Collection[_Form],
+             root: int) -> tuple[_Form, list[int]] | None:
+    """The plain walk from `end`, reached from f_red by the quotients `head`:
+    the target met and the quotients from f_red to it, or None once the walk
+    has closed the cycle, which it does within one cycle."""
     found = _cycle_hit(end, targets, root)
     if found is None:
         return None
     hit, rest = found
-    shears = _signed(head, f_red[0]) + _signed(rest, end[0])
-    return hit, [(f_red, *_apply(shears, (1, 0)))]
+    return hit, head + rest
 
 
 def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
@@ -758,43 +778,40 @@ def _genus_obstructed(form: _Form, t: int, D: int) -> bool:
     return common > 1 and _character_fails(form, t, common)
 
 
-def represents(f: QuadraticForm, t: int) -> RepDecision:
-    """Complete decision of Q(m, n) = t for indefinite anisotropic forms.
+class _Hit(NamedTuple):
+    """The decision that t is represented, before its witness is assembled.
 
-    Requires |t| in {1, 2}; any representation of such a target is
-    primitive since gcd(m, n)^2 divides t.  A cheap residue scan over
-    DEFAULT_MODULI, memoised on residues, runs first and may certify an
-    obstruction for any form; the complete proper-equivalence path
-    additionally requires discriminant(f) > 0 and nonsquare, and settles
-    the question either way.  A genus character at an odd prime p < 1000
-    dividing D that f fails proves that t is not represented.  Otherwise f
-    and each form (t, B, C) are reduced, and a walk of f's cycle either
-    meets a reduced target, whose witness is then the walk's shears applied
-    to a vector (_apply), or closes the cycle, which proves that t is not
-    represented; where the targets allow, it mirrors at the cycle's first
-    edge and closes at its second (_cycle_hit).  A walk that has not ended
-    after _SWITCH steps is finished by giant strides (_giant), which give
-    the same first target and the same witness, or the same proof.  Returned witnesses are
-    re-checked exactly before being handed back.
-    """
-    if t == 0:
-        raise ValueError("target 0 is decided by zero_witness")
-    if abs(t) > 2:
-        raise ValueError(f"complete decision covers |t| in {{1, 2}} only, got {t}")
+    It reads as the RepDecision it becomes (status, modulus).  represents
+    assembles the witness from the rest: the reduced f_red and the transform
+    m_f to it from f, the first column `col` of the inverse of the reduction
+    of the target `hit`, and `path`, how the walk from f_red reached it: its
+    quotients, or the strides (_giant)."""
 
-    k = modular_obstruction(f, t)
+    f_red: _Form
+    m_f: _Mat
+    col: tuple[int, int]
+    hit: _Form
+    path: list[int] | _Strided
+
+    status = DecisionStatus.WITNESS
+    modulus = None
+
+
+def _decide(form: _Form, t: int, D: int, root: int) -> RepDecision | _Hit:
+    """The decision of represents for the form (a, b, c), D its discriminant
+    and root = isqrt(D) when D > 0: an obstruction, a proof that t is not
+    represented, or the target met (_Hit), with no witness.  Raises
+    ValueError, as represents does, for D <= 0 or square past the residue
+    scan.  A scan row takes this alone."""
+    k = _obstruction(form, t)
     if k is not None:
         return RepDecision.obstructed(k)
-
-    D = f.discriminant()
     if D <= 0:
         raise ValueError(f"represents requires an indefinite form, got discriminant {D}")
-    root = isqrt(D)
     if root * root == D:
         raise ValueError(
             f"represents requires a nonsquare discriminant, got {D}; "
             "square discriminants factor into linear forms and belong to the zero test")
-    form = (f.a, f.b, f.c)
     if _genus_obstructed(form, t, D):
         return RepDecision.none_proved()
     f_red, m_f = _reduce(form, D, root)
@@ -808,20 +825,56 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
             g_red, (_, _, r, s) = _reduce((t, B, C), D, root)
             targets.setdefault(g_red, (s, -r))
     found = _cycle_hit(f_red, targets, root, _SWITCH) if targets else None
+    if found is not None and found[0] not in targets:
+        found = _giant(f_red, *found, targets, D, root)
     if found is None:
         return RepDecision.none_proved()
-    hit, quotients = found
-    if hit in targets:
+    hit, path = found
+    return _Hit(f_red, m_f, targets[hit], hit, path)
+
+
+def represents(f: QuadraticForm, t: int) -> RepDecision:
+    """Complete decision of Q(m, n) = t for indefinite anisotropic forms.
+
+    Requires |t| in {1, 2}; any representation of such a target is
+    primitive since gcd(m, n)^2 divides t.  A cheap residue scan over
+    DEFAULT_MODULI, memoised on residues, runs first and may certify an
+    obstruction for any form; the complete proper-equivalence path
+    additionally requires discriminant(f) > 0 and nonsquare, and settles
+    the question either way.  A genus character at an odd prime p < 1000
+    dividing D that f fails proves that t is not represented.  Otherwise f
+    and each form (t, B, C) are reduced, and a walk of f's cycle either
+    meets a reduced target or closes the cycle, which proves that t is not
+    represented; where the targets allow, it mirrors at the cycle's first
+    edge and closes at its second (_cycle_hit).  A walk that has not ended
+    after _SWITCH steps is finished by giant strides (_giant), which meet
+    the same first target, or give the same proof.
+
+    All of that is the decision (_decide), which is all a scan row takes.
+    represents, behind `check` and `form`, goes on to assemble the witness
+    of a hit: the walk's shears applied to a vector (_apply), or after
+    strides their signs (_signed_strides) and the product of the strides
+    (_column).  The witness is re-checked exactly before it is returned.
+    """
+    if t == 0:
+        raise ValueError("target 0 is decided by zero_witness")
+    if abs(t) > 2:
+        raise ValueError(f"complete decision covers |t| in {{1, 2}} only, got {t}")
+    D = f.discriminant()
+    root = isqrt(D) if D > 0 else 0
+    form = (f.a, f.b, f.c)
+    found = _decide(form, t, D, root)
+    if type(found) is not _Hit:
+        return found
+    f_red, m_f, col, hit, path = found
+    if type(path) is list:
         # the first column of m_f * m_cycle * inverse(m_g)
-        x, y = _apply(_signed(quotients, f_red[0]), targets[hit])
+        x, y = _apply(_signed(path, f_red[0]), col)
         p, q, r, s = m_f
         m, n = p * x + q * y, r * x + s * y
     else:
-        walked = _giant(f_red, hit, quotients, targets, D, root)
-        if walked is None:
-            return RepDecision.none_proved()
-        hit, nodes = walked
-        m, n = _column([(form, m_f[0], m_f[2]), *nodes, (hit, *targets[hit])], D)
+        hit, nodes = _signed_strides(f_red, *path, root)
+        m, n = _column([(form, m_f[0], m_f[2]), *nodes, (hit, *col)], D)
     # 4a*Q(m, n) = (2am + bn)^2 - D*n^2, and a != 0 since D is not a square
     a = f.a
     if (2 * a * m + f.b * n) ** 2 - D * (n * n) != 4 * a * t:

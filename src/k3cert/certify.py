@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .bqf import DecisionStatus, RepDecision, int_text
 from .clifford import CliffordReport, verify_clifford
@@ -102,6 +102,32 @@ class Certificate(NamedTuple):
     reasons: tuple[str, ...]
 
 
+def _fields(g: int, s: int, decide: Callable[[K3Config], RepDecision]) -> tuple:
+    """The fields of the certificate of (g, s), in order, all but its
+    reasons, with the (-2) decision that `decide` makes for K3Config(g, s): the
+    checks that build_certificate and a scan row share.  `decide` need only
+    give the decision's status.
+
+    The decision is None where Delta is not positive nonsquare, and the
+    Clifford report is None where it is not run because the decision found
+    a (-2)-class.  Delta < 0 or nonsquare is both Lemma 2.1 and the absence
+    of isotropic classes: the form D.D = 6m^2 + 2dmn + (2g-2)n^2 has
+    discriminant 4 * Delta, so lemma21_ok and square_zero_free are one flag."""
+    cfg = K3Config(g, s)
+    d = cfg.d
+    regime = check_hypotheses(g, s)
+    delta_ok = cfg.root * cfg.root != cfg.delta
+    minus_two = decide(cfg) if cfg.delta > 0 and delta_ok else None
+    minus_two_ok = minus_two is not None and minus_two.status is not DecisionStatus.WITNESS
+    clifford = verify_clifford(cfg) if minus_two_ok else None
+    conclusion = decide_conclusion(regime, delta_ok, delta_ok, minus_two_ok,
+                                   clifford is not None and clifford.passed)
+    # gamma_E is clifford.gamma(2, d, 4), written out
+    return (g, s, d, regime, delta_ok, delta_ok, minus_two, clifford, (g - 1) // 2,
+            _half(d - 4), gap_lower_bound(g, s), expected_dim_bn24(g, s), 2 * s + 4, 5,
+            conclusion)
+
+
 def build_certificate(g: int, s: int) -> Certificate:
     """Run every check for (g, s) and assemble the certificate.
 
@@ -109,41 +135,19 @@ def build_certificate(g: int, s: int) -> Certificate:
     and a reason is recorded instead, so any g >= 2 yields a full row of
     arithmetic fields.
     """
-    cfg = K3Config(g, s)
-    d = cfg.d
+    fields = _fields(g, s, minus_two_status)
+    _, _, _, regime, delta_ok, _, minus_two, clifford, *_ = fields
     reasons: list[str] = []
-
-    regime = check_hypotheses(g, s)
     if regime == REGIME_OUTSIDE:
         reasons.append(f"(g, s) = ({g}, {s}) lies outside both hypothesis ranges")
-
-    # Delta < 0 or nonsquare is both Lemma 2.1 and the absence of isotropic
-    # classes: the form D.D = 6m^2 + 2dmn + (2g-2)n^2 has discriminant 4 * Delta.
-    lemma21_ok = square_zero_free = cfg.root * cfg.root != cfg.delta
-    if not lemma21_ok:
+    if not delta_ok:
         reasons.append("d^2 - 6(2g-2) is a perfect square")
         reasons.append("an isotropic divisor class exists")
-
-    minus_two: RepDecision | None = None
-    if cfg.delta > 0 and lemma21_ok:
-        minus_two = minus_two_status(cfg)
-        if minus_two.status is DecisionStatus.WITNESS:
-            m, n = minus_two.witness  # type: ignore[misc]
-            reasons.append(f"a (-2)-class exists at (m, n) = ({int_text(m)}, {int_text(n)})")
-    else:
+    if minus_two is None:
         reasons.append("(-2)-class decision unavailable: d^2 - 12(g-1) is not positive nonsquare")
-    minus_two_ok = minus_two is not None and minus_two.status is not DecisionStatus.WITNESS
-
-    clifford: CliffordReport | None = None
-    if minus_two_ok:
-        clifford = verify_clifford(cfg)
-        if not clifford.passed:
-            reasons.append("constraint-region minimum falls below floor((g-1)/2)")
-    clifford_pass = clifford is not None and clifford.passed
-
-    conclusion = decide_conclusion(regime, lemma21_ok, square_zero_free,
-                                   minus_two_ok, clifford_pass)
-    # the fields in order; gamma_E is clifford.gamma(2, d, 4), written out
-    return Certificate(g, s, d, regime, lemma21_ok, square_zero_free, minus_two, clifford,
-                       (g - 1) // 2, _half(d - 4), gap_lower_bound(g, s),
-                       expected_dim_bn24(g, s), 2 * s + 4, 5, conclusion, tuple(reasons))
+    elif minus_two.status is DecisionStatus.WITNESS:
+        m, n = minus_two.witness
+        reasons.append(f"a (-2)-class exists at (m, n) = ({int_text(m)}, {int_text(n)})")
+    elif not clifford.passed:
+        reasons.append("constraint-region minimum falls below floor((g-1)/2)")
+    return Certificate(*fields, tuple(reasons))

@@ -11,10 +11,13 @@ stdout): ``main`` raises it, and ``run``, the console script's and
 ``python -m k3cert``'s entry, reports it on stderr as ``internal error:
 <message>`` after the traceback.
 
-A scan makes one pass over its cells.  Each cell's certificate yields a
-row, a plain tuple in CSV_COLUMNS order, and is folded into the summary
-(cell count, theorem_applies count, first maximal gap); then it is
-dropped.  Rows are emitted in deterministic order (g ascending, then s
+A scan makes one pass over its cells.  Each cell yields a row, a plain
+tuple in CSV_COLUMNS order, which is folded into the summary (cell count,
+theorem_applies count, first maximal gap).  A row takes the checks that
+build_certificate makes, with the (-2) decision alone: a row shows only
+the decision's method, so a scan assembles no witness, writes no reasons
+and builds no Certificate, and scan_row(build_certificate(g, s)) is the
+same row.  Rows are emitted in deterministic order (g ascending, then s
 ascending) to the output file or stdout; the one-line summary goes to
 stderr so that CSV/JSON payloads stay machine-parseable.  A scan runs in
 one process.  Since rows come out g-ascending, the rows of scans over
@@ -31,8 +34,9 @@ import sys
 from fractions import Fraction
 
 from .bqf import DecisionStatus, QuadraticForm, RepDecision, represents, zero_witness
-from .certify import CONCLUSION_APPLIES, Certificate, build_certificate
+from .certify import CONCLUSION_APPLIES, Certificate, _fields, build_certificate
 from .clifford import CliffordReport
+from .lattice import _minus_two_decision
 
 MIN_SCAN_GENUS = 12
 
@@ -54,16 +58,25 @@ def frac_str(x: Fraction) -> str:
     return "%d/%d" % x.as_integer_ratio()
 
 
-def scan_row(cert: Certificate) -> tuple:
-    """The scan row of `cert`: its values in CSV_COLUMNS order, with
-    rationals rendered as reduced "p/q" strings (frac_str, written out)."""
-    dec, rep = cert.minus_two, cert.clifford
-    return (cert.g, cert.s, cert.d, cert.regime, cert.lemma21_ok, cert.square_zero_free,
+def scan_row(cert: Certificate | tuple) -> tuple:
+    """The scan row of `cert`, or of a certificate's fields without its
+    reasons: its values in CSV_COLUMNS order, with rationals rendered as
+    reduced "p/q" strings (frac_str, written out)."""
+    (g, s, d, regime, lemma21_ok, zero_free, dec, rep, gamma1, gamma_E, gap, dim,
+     _, _, conclusion) = cert[:15]
+    return (g, s, d, regime, lemma21_ok, zero_free,
             "" if dec is None else _METHOD_TEXT[dec.status],
-            rep is not None and rep.passed, cert.gamma1,
-            "%d/%d" % cert.gamma_E.as_integer_ratio(),
-            "%d/%d" % cert.gap_lower_bound.as_integer_ratio(),
-            cert.expected_dim, cert.conclusion)
+            rep is not None and rep.passed, gamma1,
+            "%d/%d" % gamma_E.as_integer_ratio(), "%d/%d" % gap.as_integer_ratio(),
+            dim, conclusion)
+
+
+def _scan_cell(g: int, s: int) -> tuple[tuple, Fraction]:
+    """The scan row of (g, s), which is scan_row(build_certificate(g, s)),
+    and its gap lower bound: the certificate's fields with the (-2) decision
+    alone, so no witness, no reasons and no Certificate."""
+    fields = _fields(g, s, _minus_two_decision)
+    return scan_row(fields), fields[10]
 
 
 # one scan row of CSV text; no value of a row needs quoting: ints, bool
@@ -155,16 +168,15 @@ def scan_cells(g_min: int, g_max: int, s_min: int, s_max: int) -> list[tuple[int
 def run_scan(g_min: int, g_max: int, s_min: int, s_max: int) -> tuple[list[tuple], dict]:
     """The scan rows of the admissible cells, in scan_cells order, and the
     scan summary: the cell count, the theorem_applies count, and the first
-    cell of maximal gap lower bound.  No certificate outlives its cell."""
+    cell of maximal gap lower bound."""
     rows = []
     applies = 0
     max_gap = max_at = None
     max_twice = 0  # 2 * max_gap, an int, since every gap is a half-integer
     for g, s in scan_cells(g_min, g_max, s_min, s_max):
-        cert = build_certificate(g, s)
-        rows.append(scan_row(cert))
-        applies += cert.conclusion == CONCLUSION_APPLIES
-        gap = cert.gap_lower_bound
+        row, gap = _scan_cell(g, s)
+        rows.append(row)
+        applies += row[-1] == CONCLUSION_APPLIES
         twice = 2 * gap.numerator // gap.denominator
         # strict >, so ties go to the earliest cell
         if max_at is None or twice > max_twice:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .bqf import QuadraticForm, RepDecision, represents
+from .bqf import QuadraticForm, RepDecision, _decide, represents
 
 
 @dataclass(frozen=True)
@@ -90,3 +90,11 @@ def minus_two_form(cfg: K3Config) -> QuadraticForm:
 def minus_two_status(cfg: K3Config) -> RepDecision:
     """Complete decision of whether some class has self-intersection -2."""
     return represents(minus_two_form(cfg), -1)
+
+
+def _minus_two_decision(cfg: K3Config) -> RepDecision:
+    """minus_two_status without the witness, for a scan row: the decision
+    alone, on minus_two_form's coefficients, with the Delta and root of cfg
+    (minus_two_form's discriminant).  Its status and modulus are those of
+    minus_two_status; a hit carries no witness."""
+    return _decide((3, cfg.d, cfg.g - 1), -1, cfg.delta, cfg.root)  # type: ignore[return-value]

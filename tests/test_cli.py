@@ -9,6 +9,7 @@ import types
 import pytest
 
 from k3cert import cli, lattice
+from k3cert.bqf import DecisionStatus
 from k3cert.certify import Certificate, build_certificate
 from k3cert.cli import (
     CSV_COLUMNS,
@@ -20,6 +21,9 @@ from k3cert.cli import (
     scan_row,
 )
 from k3cert.clifford import CliffordReport
+from k3cert.lattice import K3Config
+
+from test_bqf import PINNED_CELLS, PINNED_LARGE
 
 
 def test_check_theorem_applies_exit_zero(capsys):
@@ -337,6 +341,27 @@ def test_scan_row_agrees_with_certificate_dict():
     assert "outside" in regimes
 
 
+# the pinned (-2) cells, the large pinned witnesses, and a band at g ~ 10^5,
+# where some walks pass the switch to giant strides
+DECISION_CELLS = ([cell for cell, *_ in PINNED_CELLS + PINNED_LARGE]
+                  + [(g, s) for g in range(100000, 100020) for s in range(-1, 11)])
+
+
+def test_scan_path_decides_as_represents():
+    # a scan row takes the (-2) decision without its witness: the same status,
+    # method and modulus as represents, and the row of the certificate
+    statuses = set()
+    for g, s in DECISION_CELLS:
+        cert = build_certificate(g, s)
+        row, gap = cli._scan_cell(g, s)
+        assert row == scan_row(cert) and gap == cert.gap_lower_bound, (g, s)
+        if cert.minus_two is not None:
+            dec = lattice._minus_two_decision(K3Config(g, s))
+            assert (dec.status, dec.modulus) == (cert.minus_two.status, cert.minus_two.modulus)
+            statuses.add(dec.status)
+    assert statuses == set(DecisionStatus)
+
+
 def test_scan_csv_file_output(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     out.write_bytes(b"an older, longer file\n" * 1000)  # replaced, not appended to
@@ -353,7 +378,7 @@ def test_scan_csv_file_output(tmp_path, capsys):
 def test_scan_out_unwritable_exits_two_before_any_cell(tmp_path, monkeypatch, capsys):
     def fail(g, s):
         raise AssertionError("a cell was computed")
-    monkeypatch.setattr(cli, "build_certificate", fail)
+    monkeypatch.setattr(cli, "_scan_cell", fail)
     out = tmp_path / "missing" / "rows.csv"
     assert main(["scan", "--g-min", "12", "--g-max", "13", "--s-min", "-1", "--s-max", "0",
                  "--out", str(out)]) == 2
@@ -366,7 +391,7 @@ def test_scan_out_unwritable_exits_two_before_any_cell(tmp_path, monkeypatch, ca
 def test_failed_scan_leaves_the_out_file_as_it_was(tmp_path, monkeypatch, capsys):
     def fail(g, s):
         raise RuntimeError("internal error: a cell failed")
-    monkeypatch.setattr(cli, "build_certificate", fail)
+    monkeypatch.setattr(cli, "_scan_cell", fail)
     out = tmp_path / "rows.csv"
     out.write_bytes(b"g,s\n12,-1\n")
     with pytest.raises(RuntimeError, match="a cell failed"):

@@ -1,5 +1,5 @@
 """Golden output digests: the SHA-256 of the exact bytes the CLI writes for
-a fixed scan and a fixed band of checks, and of the decisions of
+two fixed scans and a fixed band of checks, and of the decisions of
 ``represents`` over a box of small forms and targets, so that a change meant
 to keep the output (a speed-up, a refactor) is shown byte-identical inside
 the suite.
@@ -16,15 +16,20 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from k3cert import bqf
 from k3cert.bqf import QuadraticForm, represents
-from k3cert.cli import main
+from k3cert.certify import build_certificate
+from k3cert.cli import main, run_scan, scan_row
 
 SCAN = ["scan", "--g-min", "12", "--g-max", "600", "--s-min", "-1", "--s-max", "10"]
+# a band at g ~ 10^5, where some walks pass the switch to giant strides
+SCAN_LARGE = ["scan", "--g-min", "100000", "--g-max", "100019", "--s-min", "-1", "--s-max", "10"]
 CHECK_CELLS = [(g, s) for g in range(12, 81) for s in range(-1, 11)]
 
 CASES = {
     "scan-csv": [SCAN],
     "scan-json": [SCAN + ["--format", "json"]],
+    "scan-csv-large": [SCAN_LARGE],
     "check-json": [["check", "--g", str(g), "--s", str(s), "--format", "json"]
                    for g, s in CHECK_CELLS],
 }
@@ -41,6 +46,9 @@ GOLDEN = {
     "check-json": ("b63aa951e670166d0efbe8dc2ffc6ba73d1b4b145dd9d0504ed255aa92c0762d",
                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
                    "2ba65e217cb89f2018ec1f7eb196cddb317f614da765a7538365aa7a22bf7937"),
+    "scan-csv-large": ("2aed5e48f0cfc5b9d5233a68a52fbbc3c1f0e93de376932ed3b2c1dc93ec6587",
+                       "8743f516b8bd4d4a6be20296679b18dbd3af53eb18a4df3c28eb7343f251378e",
+                       "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
 }
 
 # (status, witness, modulus) of represents(f, t), one line per query, for
@@ -93,3 +101,29 @@ def test_golden_output_digest(name):
 
 def test_golden_represents_digest():
     assert kernel_digest() == KERNEL
+
+
+# the witness assembly of represents: a scan takes the decision alone
+ASSEMBLY = ("_apply", "_column", "_signed_strides", "_count_to")
+
+
+def test_scan_assembles_no_witness(monkeypatch):
+    # (25381, 3) and (100135, 2): strides meet the target; (100003, 2): the
+    # strides close the cycle.  Their rows are the certificates', computed
+    # before the assembly is taken away
+    strided = [(25381, 3), (100003, 2), (100135, 2)]
+    expected = [scan_row(build_certificate(g, s)) for g, s in strided]
+    landings = []
+    landed = bqf._landed
+    monkeypatch.setattr(bqf, "_landed", lambda *args: landings.append(args) or landed(*args))
+
+    def forbidden(*args):
+        raise AssertionError("a scan assembled a witness")
+    for name in ASSEMBLY:
+        monkeypatch.setattr(bqf, name, forbidden)
+    for name in ("scan-csv", "scan-csv-large"):
+        assert digests(name) == GOLDEN[name], name
+    for (g, s), row in zip(strided, expected):
+        landings.clear()
+        assert run_scan(g, g, s, s)[0] == [row]
+        assert landings, (g, s)
