@@ -23,8 +23,17 @@ The decision and the witness are two stages.  The decision (_decide)
 stops where the answer is known: at an obstruction, at a closed cycle, or
 at the first target met, which it returns with the quotients or strides
 that reach it and no witness.  represents, behind `check` and `form`, takes
-the decision and assembles the witness from it; a scan row takes the
-decision alone (k3cert.lattice), as it shows only the decision's method.
+the decision and assembles the witness from it.
+
+A scan row shows only the decision's method, and its target is -1
+(k3cert.lattice), so it takes a decision for |t| = 1 alone (_decide_unit),
+which walks half of the target's cycle instead of f's.  Every (t, B, C)
+with B = D (mod 2) is a translate of t0 = (t, b, c0), b the one of
+root - 1 and root that has the parity of D.  t0 is reduced, and
+rho(tau t0) = t0 (see below), so its cycle F_0 = t0, ..., F_(L-1) has
+F_(L-1-k) = tau(F_k), and its only edges are at steps L/2 - 1 and L - 1.
+f_red is on it exactly when f_red or tau(f_red) is among
+F_0 ... F_(L/2-1), so that walk ends at the middle edge.
 
 The residue scan that runs before all of this is memoised on the
 coefficients and the target mod k, which is all its answer depends on.
@@ -60,7 +69,9 @@ which depends on the number of steps mod 4, so the assembly of a strided
 hit counts its steps: a cycle walk goes on to the target, recording
 nothing, and jumps to tau of the start at the first edge it meets.  The
 witness is assembled from the walk's exact transform to the first stride
-and the strides, in a balanced product tree in Q(sqrt(D)).
+and the strides, in a balanced product tree in Q(sqrt(D)).  The half walk
+of t0's cycle hands over to the same strides, with f_red and tau(f_red) as
+its targets, and takes only their decision.
 """
 
 from __future__ import annotations
@@ -426,7 +437,7 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 # each reduced target (_certified); shorter than a cycle, its transform is
 # then the walk's up to sign.  So a stride that passes a window's first
 # form lands in that window.  The strides start at f_last, the last form of
-# the start window, and the walk met no target in its first len(head) >= W
+# the start window, and the walk met no target in its first `walked` >= W
 # steps, so no target window holds f_last or any form up to the first target:
 # the first stride that lands in a target's window has passed the first
 # target met, and one that lands in the start window has gone round the
@@ -442,12 +453,13 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 # count mirrors as the walk does, jumping to tau(f_red) at step 2e + 1
 # (_count_to).
 #
-# The head the walk leaves has at least _SWITCH - 1 quotients, more where it
+# The walk hands over after at least _SWITCH - 1 steps, more where it
 # mirrored.  Windows are capped at _SWITCH steps, so past g ~ 10^6, where
 # 2 D^(1/4) > _SWITCH, they stop growing with D.
 
 # The windows and h cost about 2,000 walk steps (measured when the switch
-# was set), and the scan-grid benchmark's walks all end within 1,905 steps.
+# was set), and the scan-grid benchmark's half walks of the target's cycle
+# (_decide_unit) all end within 881 steps.
 _SWITCH = 2048
 
 
@@ -574,19 +586,19 @@ def _landed(landing: _Form, windows: list[_Window], start: dict[int, int],
     return met, key in start
 
 
-def _giant(f_red: _Form, end: _Form, head: list[int], targets: Collection[_Form],
+def _giant(f_red: _Form, end: _Form, walked: int, targets: Collection[_Form],
            D: int, root: int) -> tuple[_Form, list[int] | _Strided] | None:
     """Finish by giant strides the walk of the cycle of f_red, which reached
-    `end` after the quotients `head` and met neither a target nor f_red again.
+    `end` after `walked` steps and met neither a target nor f_red again.
 
     Returns None when no target is on the cycle; else the first target met
-    and how the walk reached it: its quotients from f_red where the walk
-    took over (_walk_on), else the strides, for _signed_strides.  Falls
-    back on the walk where a stride is not certified or f_red is not
-    primitive, as composition needs."""
+    and how it was reached: the strides, for _signed_strides, or the
+    quotients from `end` of the plain walk (_cycle_hit), which takes over
+    where a stride is not certified or f_red is not primitive, as
+    composition needs, and ends within one cycle."""
     if gcd(*f_red) != 1:
-        return _walk_on(head, end, targets, root)
-    W = min(_window_size(D), _SWITCH, len(head))
+        return _cycle_hit(end, targets, root)
+    W = min(_window_size(D), _SWITCH, walked)
     K2 = 2 * (root + 1)
     start_keys, fshears, f_last, _ = _window(f_red, W, root)
     # the start window's transform: its r bounds the strides, and its first
@@ -609,7 +621,7 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: Collection[_Form]
     p_red, m_p = _reduce((1, B, (B * B - D) // 4), D, root)
     _, pshears, h, p_closed = _window(p_red, n_h, root)
     if p_closed:
-        return _walk_on(head, end, targets, root)
+        return _cycle_hit(end, targets, root)
     M = _matmul(m_p, _product(pshears))
     lam = (2 * M[0] + M[2] * B, -M[2])
     # strides from f_last (see the comment above _SWITCH); each moves at
@@ -620,27 +632,15 @@ def _giant(f_red: _Form, end: _Form, head: list[int], targets: Collection[_Form]
     for _ in repeat(None, min(_cycle_bound(root), maxsize)):
         landing, p, r = _stride(form, h, lam, D, root)
         if not _certified(form, landing, p, r, root, reach):
-            return _walk_on(head, end, targets, root)
+            return _cycle_hit(end, targets, root)
         strides.append((form, p, r))
         met, closed = _landed(landing, windows, start_keys, K2)
         if met is not None:
-            return met[1], (len(head), end, [(f_red, p_f, r_f), *strides], landing, *met)
+            return met[1], (walked, end, [(f_red, p_f, r_f), *strides], landing, *met)
         if closed:
             return None
         form = landing
     raise RuntimeError("internal error: the giant strides ran past the bound on the cycle length")
-
-
-def _walk_on(head: list[int], end: _Form, targets: Collection[_Form],
-             root: int) -> tuple[_Form, list[int]] | None:
-    """The plain walk from `end`, reached from f_red by the quotients `head`:
-    the target met and the quotients from f_red to it, or None once the walk
-    has closed the cycle, which it does within one cycle."""
-    found = _cycle_hit(end, targets, root)
-    if found is None:
-        return None
-    hit, rest = found
-    return hit, head + rest
 
 
 def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
@@ -779,13 +779,11 @@ def _genus_obstructed(form: _Form, t: int, D: int) -> bool:
 
 
 class _Hit(NamedTuple):
-    """The decision that t is represented, before its witness is assembled.
-
-    It reads as the RepDecision it becomes (status, modulus).  represents
-    assembles the witness from the rest: the reduced f_red and the transform
-    m_f to it from f, the first column `col` of the inverse of the reduction
-    of the target `hit`, and `path`, how the walk from f_red reached it: its
-    quotients, or the strides (_giant)."""
+    """The decision that t is represented, before its witness is assembled:
+    the reduced f_red and the transform m_f to it from f, the first column
+    `col` of the inverse of the reduction of the target `hit`, and `path`,
+    how the walk from f_red reached it: its quotients, or the strides
+    (_giant).  represents assembles the witness from them."""
 
     f_red: _Form
     m_f: _Mat
@@ -793,16 +791,13 @@ class _Hit(NamedTuple):
     hit: _Form
     path: list[int] | _Strided
 
-    status = DecisionStatus.WITNESS
-    modulus = None
 
-
-def _decide(form: _Form, t: int, D: int, root: int) -> RepDecision | _Hit:
-    """The decision of represents for the form (a, b, c), D its discriminant
-    and root = isqrt(D) when D > 0: an obstruction, a proof that t is not
-    represented, or the target met (_Hit), with no witness.  Raises
-    ValueError, as represents does, for D <= 0 or square past the residue
-    scan.  A scan row takes this alone."""
+def _screen(form: _Form, t: int, D: int, root: int) -> RepDecision | None:
+    """The decision for the form (a, b, c) where no cycle is walked, else
+    None: the residue scan's obstruction, or a genus character's proof that
+    t is not represented.  D is the discriminant and root = isqrt(D) when
+    D > 0.  Raises ValueError, as represents does, for D <= 0 or square past
+    the residue scan."""
     k = _obstruction(form, t)
     if k is not None:
         return RepDecision.obstructed(k)
@@ -814,6 +809,16 @@ def _decide(form: _Form, t: int, D: int, root: int) -> RepDecision | _Hit:
             "square discriminants factor into linear forms and belong to the zero test")
     if _genus_obstructed(form, t, D):
         return RepDecision.none_proved()
+    return None
+
+
+def _decide(form: _Form, t: int, D: int, root: int) -> RepDecision | _Hit:
+    """The decision of represents: _screen's, else a walk of the cycle of
+    f_red that proves t not represented, or the target met (_Hit), with no
+    witness."""
+    screened = _screen(form, t, D, root)
+    if screened is not None:
+        return screened
     f_red, m_f = _reduce(form, D, root)
     # each reduced target, with the first column of the inverse of its
     # reduction's transform
@@ -826,11 +831,58 @@ def _decide(form: _Form, t: int, D: int, root: int) -> RepDecision | _Hit:
             targets.setdefault(g_red, (s, -r))
     found = _cycle_hit(f_red, targets, root, _SWITCH) if targets else None
     if found is not None and found[0] not in targets:
-        found = _giant(f_red, *found, targets, D, root)
+        end, head = found
+        found = _giant(f_red, end, len(head), targets, D, root)
+        if found is not None and type(found[1]) is list:  # walked on from `end`
+            found = found[0], head + found[1]
     if found is None:
         return RepDecision.none_proved()
     hit, path = found
     return _Hit(f_red, m_f, targets[hit], hit, path)
+
+
+def _decide_unit(form: _Form, t: int, D: int, root: int) -> RepDecision:
+    """_decide's status and modulus for |t| = 1, on half of the target's
+    cycle (see the module docstring); a hit has no witness.  A scan row
+    takes this alone.
+
+    After _screen and the reduction of f to f_red, it walks the cycle of t0
+    from t0 for f_red or tau(f_red), up to the middle edge, the first step
+    that keeps b.  The walk is _cycle_hit's, two steps per pass, but records
+    nothing and rebuilds a form only where b is f_red's.  A walk open after
+    _SWITCH steps is finished on t0's cycle by _giant, with f_red and
+    tau(f_red) as targets; only its decision is kept."""
+    screened = _screen(form, t, D, root)
+    if screened is not None:
+        return screened
+    f_red, _ = _reduce(form, D, root)
+    a_f, b_f, c_f = f_red
+    targets = f_red, (c_f, b_f, a_f)
+    b = root - ((root ^ D) & 1)
+    t0 = (t, b, (b * b - D) // (4 * t))
+    if t0 in targets:
+        return RepDecision(DecisionStatus.WITNESS)
+    # a has the sign of t after an even number of steps, and |t0's c| = (D - b^2)/4
+    A, C = 2, (D - b * b) >> 1
+    for _ in repeat(None, _SWITCH // 2):
+        q = (root + b) // C
+        b1 = C * q - b
+        if b1 == b:  # the middle edge, to tau of the form before it
+            return RepDecision.none_proved()
+        A -= q * (b1 - b)
+        if b1 == b_f and (-t * (C >> 1), b1, t * (A >> 1)) in targets:
+            return RepDecision(DecisionStatus.WITNESS)
+        q = (root + b1) // A
+        b = A * q - b1
+        if b == b1:
+            return RepDecision.none_proved()
+        C -= q * (b - b1)
+        if b == b_f and (t * (A >> 1), b, -t * (C >> 1)) in targets:
+            return RepDecision(DecisionStatus.WITNESS)
+    end = (t * (A >> 1), b, -t * (C >> 1))
+    if _giant(t0, end, _SWITCH // 2 * 2, targets, D, root) is None:
+        return RepDecision.none_proved()
+    return RepDecision(DecisionStatus.WITNESS)
 
 
 def represents(f: QuadraticForm, t: int) -> RepDecision:
@@ -850,11 +902,12 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     after _SWITCH steps is finished by giant strides (_giant), which meet
     the same first target, or give the same proof.
 
-    All of that is the decision (_decide), which is all a scan row takes.
-    represents, behind `check` and `form`, goes on to assemble the witness
-    of a hit: the walk's shears applied to a vector (_apply), or after
-    strides their signs (_signed_strides) and the product of the strides
-    (_column).  The witness is re-checked exactly before it is returned.
+    All of that is the decision (_decide); a scan row takes a shorter one,
+    on half of the target's cycle (_decide_unit).  represents, behind
+    `check` and `form`, goes on to assemble the witness of a hit: the walk's
+    shears applied to a vector (_apply), or after strides their signs
+    (_signed_strides) and the product of the strides (_column).  The
+    witness is re-checked exactly before it is returned.
     """
     if t == 0:
         raise ValueError("target 0 is decided by zero_witness")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .bqf import QuadraticForm, RepDecision, _decide, represents
+from .bqf import QuadraticForm, RepDecision, _decide_unit, represents
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,8 @@ def minus_two_status(cfg: K3Config) -> RepDecision:
 
 def _minus_two_decision(cfg: K3Config) -> RepDecision:
     """minus_two_status without the witness, for a scan row: the decision
-    alone, on minus_two_form's coefficients, with the Delta and root of cfg
-    (minus_two_form's discriminant).  Its status and modulus are those of
-    minus_two_status; a hit carries no witness."""
-    return _decide((3, cfg.d, cfg.g - 1), -1, cfg.delta, cfg.root)  # type: ignore[return-value]
+    alone (_decide_unit, on half of the target's cycle), on minus_two_form's
+    coefficients, with the Delta and root of cfg (minus_two_form's
+    discriminant).  Its status and modulus are those of minus_two_status; a
+    hit carries no witness."""
+    return _decide_unit((3, cfg.d, cfg.g - 1), -1, cfg.delta, cfg.root)

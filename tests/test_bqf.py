@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import random
 import sys
+from collections import Counter
 from functools import reduce
 from math import gcd, isqrt
 
@@ -676,6 +677,64 @@ def test_mirrored_walk_steps(cell, edges, hit, walked):
     assert (found if found is None else len(found[1])) == hit
 
 
+def test_half_walk_of_the_target_cycle_decides_as_represents():
+    # a scan row's decision for t = -1 walks the cycle of t0 = (-1, b, C), b
+    # the largest b <= isqrt(D) of the parity of D, from t0 to its middle
+    # edge: on every walked cell of g in [12, 600] x s in [-1, 10] its status
+    # is represents', and it ends where plain rho steps on t0's cycle say,
+    # at t0, at f_red, at tau(f_red) or, after exactly half the cycle, at the
+    # edge.  Hits on the last form before the edge occur too
+    exits: Counter[str] = Counter()
+    for form, D in _open_cells(600):
+        root = isqrt(D)
+        b = root if (root - D) % 2 == 0 else root - 1
+        t0 = (-1, b, (D - b * b) // 4)
+        assert _is_reduced(t0, D, root), form
+        forms, _ = _cycle(t0, D, root)
+        L = len(forms)
+        assert _edges(forms) == [L // 2 - 1, L - 1], form
+        f_red, _ = bqf._reduce(form, D, root)
+        k = next((k for k in range(L // 2) if forms[k] in (f_red, f_red[::-1])), None)
+        if k is None:
+            exits["edge"] += 1
+            dec, steps = _walked(bqf._decide_unit, form, -1, D, root)
+            assert (dec, steps) == (RepDecision.none_proved(), L // 2), form
+        else:
+            exits["t0" if k == 0 else "f_red" if forms[k] == f_red else "tau"] += 1
+            exits["last"] += k == L // 2 - 1
+            dec = bqf._decide_unit(form, -1, D, root)
+            assert dec == RepDecision(DecisionStatus.WITNESS), form
+        assert dec.status is represents(QuadraticForm(*form), -1).status, form
+    assert exits.keys() == {"t0", "f_red", "tau", "edge", "last"} and min(exits.values()) > 0
+    assert exits["edge"] + exits["t0"] + exits["f_red"] + exits["tau"] == 2152
+
+
+@pytest.mark.parametrize("switch", [None, 4])
+def test_half_walk_decides_as_represents_on_small_forms(monkeypatch, switch):
+    # both unit targets on small forms, walked or, with the switch lowered,
+    # handed to the giant strides on t0's cycle, which meet f_red or
+    # tau(f_red) for each target: status and modulus are represents'
+    queries = [(form, D, t) for form, D in _small_indefinite_forms()
+               if abs(form[0]) <= 8 and abs(form[2]) <= 8 for t in (-1, 1)]
+    expected = [represents(QuadraticForm(*form), t) for form, _, t in queries]
+    hits: Counter[int] = Counter()  # strided hits by target, t0's a
+    if switch is not None:
+        giant = bqf._giant
+
+        def logged(t0, *args):
+            found = giant(t0, *args)
+            hits[t0[0]] += found is not None
+            return found
+        monkeypatch.setattr(bqf, "_giant", logged)
+        monkeypatch.setattr(bqf, "_SWITCH", switch)
+        monkeypatch.setattr(bqf, "_window_size", lambda D: switch)
+    decided = [bqf._decide_unit(form, t, D, isqrt(D)) for form, D, t in queries]
+    assert [(d.status, d.modulus) for d in decided] == [(e.status, e.modulus) for e in expected]
+    assert {d.status for d in decided} == set(DecisionStatus)
+    assert all(d.witness is None for d in decided)
+    assert switch is None or min(hits[-1], hits[1]) > 100
+
+
 @pytest.mark.parametrize("cell", [(19, 2), (7393, 2), (13907, 6), (25381, 3)])
 def test_counting_walk_matches_plain_rho_walk(cell):
     # the count from any point of the walk: before the first edge it jumps
@@ -889,8 +948,9 @@ def _decisions(cells):
 
 
 def _log_strides(monkeypatch) -> list[str]:
-    """Log each call of _landed, _signed_strides and _walk_on, and "closed"
-    where _giant proves a closed cycle by landings, with no walk."""
+    """Log each call of _landed and _signed_strides, "walk" where _giant
+    hands the cycle back to the plain walk (_cycle_hit), and "closed" where
+    _giant proves a closed cycle by landings, with no walk."""
     log: list[str] = []
 
     def logged(name):
@@ -900,17 +960,23 @@ def _log_strides(monkeypatch) -> list[str]:
             log.append(name)
             return fn(*args)
         monkeypatch.setattr(bqf, name, wrapped)
-    for name in ("_landed", "_signed_strides", "_walk_on"):
+    for name in ("_landed", "_signed_strides"):
         logged(name)
-    giant = bqf._giant
+    giant, cycle_hit = bqf._giant, bqf._cycle_hit
+
+    def walk(*args):
+        if sys._getframe(1).f_code is giant.__code__:
+            log.append("walk")
+        return cycle_hit(*args)
 
     def closing(*args):
         start = len(log)
         result = giant(*args)
         calls = log[start:]
-        if result is None and "_landed" in calls and "_walk_on" not in calls:
+        if result is None and "_landed" in calls and "walk" not in calls:
             log.append("closed")
         return result
+    monkeypatch.setattr(bqf, "_cycle_hit", walk)
     monkeypatch.setattr(bqf, "_giant", closing)
     return log
 
@@ -932,7 +998,7 @@ def test_giant_strides_match_the_walk(monkeypatch, switch, window):
     # cells.  An ambiguous cycle of up to twice the switch closes in the
     # mirrored head, so the cells run to g < 270 to leave more than 40 closed
     # cycles to the strides at (64, 24)
-    hits, closed, walks = (log.count(name) for name in ("_signed_strides", "closed", "_walk_on"))
+    hits, closed, walks = (log.count(name) for name in ("_signed_strides", "closed", "walk"))
     assert hits > 300 and closed > 40 and walks < hits + closed
 
 
@@ -999,7 +1065,7 @@ def test_loop_bounds_take_any_integer(monkeypatch):
     log = _log_strides(monkeypatch)
     monkeypatch.setattr(bqf, "_cycle_bound", lambda root: 2 ** 64)
     assert _decisions(cells) == expected
-    assert {"_walk_on", "_signed_strides", "closed"} <= set(log)
+    assert {"walk", "_signed_strides", "closed"} <= set(log)
     start, targets, D, root = _walk_setup(_minus_two_form(81, 2), -1)
     assert bqf._cycle_hit(start, targets, root) is None
 

@@ -8,7 +8,7 @@ import types
 
 import pytest
 
-from k3cert import cli, lattice
+from k3cert import bqf, cli, lattice
 from k3cert.bqf import DecisionStatus
 from k3cert.certify import Certificate, build_certificate
 from k3cert.cli import (
@@ -360,6 +360,29 @@ def test_scan_path_decides_as_represents():
             assert (dec.status, dec.modulus) == (cert.minus_two.status, cert.minus_two.modulus)
             statuses.add(dec.status)
     assert statuses == set(DecisionStatus)
+
+
+def test_scan_rows_past_the_switch(monkeypatch):
+    # with the switch lowered, the half walks of t0's cycle hand over to the
+    # giant strides, whose decision alone a row keeps: every row is that of
+    # the certificate, built with the switch where it was, and the strides
+    # settle hits and closed cycles without handing back to the walk
+    cells = [(g, s) for g in range(12, 400) for s in range(-1, 11)]
+    expected = [scan_row(build_certificate(g, s)) for g, s in cells]
+    giant, cycle_hit = bqf._giant, bqf._cycle_hit
+    walks, strided = [], []
+
+    def logged(*args):
+        walked = len(walks)
+        found = giant(*args)
+        if len(walks) == walked:
+            strided.append(found is None)
+        return found
+    monkeypatch.setattr(bqf, "_giant", logged)
+    monkeypatch.setattr(bqf, "_cycle_hit", lambda *args: walks.append(args) or cycle_hit(*args))
+    monkeypatch.setattr(bqf, "_SWITCH", 16)
+    assert [cli._scan_cell(g, s)[0] for g, s in cells] == expected
+    assert strided.count(False) > 300 and strided.count(True) > 40
 
 
 def test_scan_csv_file_output(tmp_path, capsys):

@@ -121,6 +121,10 @@ def test_scan_assembles_no_witness(monkeypatch):
         raise AssertionError("a scan assembled a witness")
     for name in ASSEMBLY:
         monkeypatch.setattr(bqf, name, forbidden)
+    # nor does it walk f's cycle: every half walk of the target's cycle on
+    # the first scan ends within the switch, and on the others the strides
+    # settle every hand-over
+    monkeypatch.setattr(bqf, "_cycle_hit", lambda *args: pytest.fail("walked f's cycle"))
     for name in ("scan-csv", "scan-csv-large"):
         assert digests(name) == GOLDEN[name], name
     for (g, s), row in zip(strided, expected):
