@@ -67,11 +67,12 @@ one that lands in the start window has gone round the cycle; the decision
 ends at that landing.  A stride's transform is the walk's only up to sign,
 which depends on the number of steps mod 4, so the assembly of a strided
 hit counts its steps: a cycle walk goes on to the target, recording
-nothing, and jumps to tau of the start at the first edge it meets.  The
-witness is assembled from the walk's exact transform to the first stride
-and the strides, in a balanced product tree in Q(sqrt(D)).  The half walk
-of t0's cycle hands over to the same strides, with f_red and tau(f_red) as
-its targets, and takes only their decision.
+nothing, and where the target follows an edge it jumps to tau of the start
+at the first edge it meets.  The witness is assembled from the walk's exact
+transform to the first stride and the strides, in a balanced product tree
+in Q(sqrt(D)).  The half walk of t0's cycle hands over to the same
+strides, with f_red and tau(f_red) as its targets, and takes only their
+decision.
 """
 
 from __future__ import annotations
@@ -448,10 +449,10 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 # A stride's transform is the walk's only up to sign, and the walk's sign
 # depends on its number of steps mod 4, which no form shows.  So the
 # assembly counts the steps to the target by a cycle walk from where the walk
-# stopped, with no product, and fixes the sign of the product of the
-# strides from that count (_signed_strides).  For a target with a | b the
-# count mirrors as the walk does, jumping to tau(f_red) at step 2e + 1
-# (_count_to).
+# stopped, with no product and no quotients kept (_steps_to), and fixes the
+# sign of the product of the strides from that count (_signed_strides).  For
+# a target with a | b the count mirrors as the walk does, jumping to
+# tau(f_red) at step 2e + 1 (_count_to).
 #
 # The walk hands over after at least _SWITCH - 1 steps, more where it
 # mirrored.  Windows are capped at _SWITCH steps, so past g ~ 10^6, where
@@ -662,10 +663,7 @@ def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
     if _mirrors((g,)):
         steps = _count_to(f_red, walked, end, g, root)
     else:
-        counted = _cycle_hit(end, {g}, root)
-        if counted is None:
-            raise RuntimeError("internal error: the counting walk closed without meeting the target")
-        steps = walked + len(counted[1])
+        steps = walked + _steps_to(end, g, root)
     M = _product(shears[:j])
     sign = _walk_sign(g[0], j)
     for k, (start, p, r) in enumerate(strides):
@@ -717,6 +715,32 @@ def _count_to(f_red: _Form, walked: int, end: _Form, g: _Form, root: int) -> int
             continue
         C -= q * (b - b1)
         n += 2
+        if b == b0 and (sign * (A >> 1), b, -sign * (C >> 1)) == end:
+            break
+    raise RuntimeError("internal error: the counting walk closed without meeting the target")
+
+
+def _steps_to(end: _Form, g: _Form, root: int) -> int:
+    """The number of steps of rho from `end` to g, a reduced form on its
+    cycle other than `end`: the walk of _cycle_hit without mirroring,
+    counted, with no quotient kept.  Only a target without a | b takes it,
+    so only `form` queries with |t| = 2 and b odd."""
+    a0, b0, c0 = end
+    sign = 1 if a0 > 0 else -1
+    A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
+    b_g = g[1]
+    # two steps per pass; a cycle has fewer than _cycle_bound forms
+    for n in range(0, _cycle_bound(root) + 1, 2):
+        q = (root + b) // C
+        b1 = C * q - b
+        A -= q * (b1 - b)
+        if b1 == b_g and (-sign * (C >> 1), b1, sign * (A >> 1)) == g:
+            return n + 1
+        q = (root + b1) // A
+        b = A * q - b1
+        C -= q * (b - b1)
+        if b == b_g and (sign * (A >> 1), b, -sign * (C >> 1)) == g:
+            return n + 2
         if b == b0 and (sign * (A >> 1), b, -sign * (C >> 1)) == end:
             break
     raise RuntimeError("internal error: the counting walk closed without meeting the target")

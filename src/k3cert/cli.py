@@ -23,6 +23,13 @@ stderr so that CSV/JSON payloads stay machine-parseable.  A scan runs in
 one process.  Since rows come out g-ascending, the rows of scans over
 consecutive disjoint g-ranges, run in separate processes, concatenate in
 range order to the rows of one scan over their union.
+
+Each call of ``main`` builds its parser anew, with no cache.  It builds the
+top level and the three subcommand entries, which are all that the
+top-level help, usage and errors show, but gives arguments only to the
+subcommand it parses: the first of its arguments that names one
+(build_parser).  So it prints the help, usage and errors of the full
+parser, ``build_parser()``.
 """
 
 from __future__ import annotations
@@ -47,11 +54,17 @@ CSV_COLUMNS = ("g", "s", "d", "regime", "lemma21_ok", "square_zero_free", "minus
 # the text of a bool in CSV and in certificate text, indexed by the bool
 _BOOL_TEXT = ("false", "true")
 
-# the text of a decision's method, by its status: the residue scan settles
-# exactly the obstructed outcomes, and every other outcome comes from the
-# proper-equivalence decision (genus characters, then the reduction cycle)
-_METHOD_TEXT = {DecisionStatus.WITNESS: "pell_search", DecisionStatus.OBSTRUCTED_MOD: "mod_scan",
-                DecisionStatus.NONE_PROVED: "pell_search"}
+_OBSTRUCTED_MOD = DecisionStatus.OBSTRUCTED_MOD
+
+
+def _method_text(dec: RepDecision) -> str:
+    """The text of a decision's method, by its status: the residue scan
+    settles exactly the obstructed outcomes, and every other outcome comes
+    from the proper-equivalence decision (genus characters, then the
+    reduction cycle).  The status is told by identity, with the member
+    bound once: hashing an Enum member runs Python-level Enum.__hash__, and
+    reading it off the class costs as much."""
+    return "mod_scan" if dec.status is _OBSTRUCTED_MOD else "pell_search"
 
 
 def frac_str(x: Fraction) -> str:
@@ -65,7 +78,7 @@ def scan_row(cert: Certificate | tuple) -> tuple:
     (g, s, d, regime, lemma21_ok, zero_free, dec, rep, gamma1, gamma_E, gap, dim,
      _, _, conclusion) = cert[:15]
     return (g, s, d, regime, lemma21_ok, zero_free,
-            "" if dec is None else _METHOD_TEXT[dec.status],
+            "" if dec is None else _method_text(dec),
             rep is not None and rep.passed, gamma1,
             "%d/%d" % gamma_E.as_integer_ratio(), "%d/%d" % gap.as_integer_ratio(),
             dim, conclusion)
@@ -101,7 +114,7 @@ def decision_to_dict(dec: RepDecision | None) -> dict | None:
     if dec is None:
         return None
     m, n = dec.witness or (None, None)
-    return {"status": dec.status.value, "method": _METHOD_TEXT[dec.status], "m": m, "n": n,
+    return {"status": dec.status.value, "method": _method_text(dec), "m": m, "n": n,
             "modulus": dec.modulus}
 
 
@@ -133,7 +146,7 @@ def render_certificate_text(cert: Certificate) -> str:
         f"  lemma21_ok = {_BOOL_TEXT[cert.lemma21_ok]}",
         f"  square_zero_free = {_BOOL_TEXT[cert.square_zero_free]}",
         "  minus_two = " + ("unavailable" if dec is None
-                            else f"{dec.describe()} [{_METHOD_TEXT[dec.status]}]"),
+                            else f"{dec.describe()} [{_method_text(dec)}]"),
     ]
     rep = cert.clifford
     if rep is None:
@@ -293,7 +306,45 @@ def _json_exact(payload: dict) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _check_arguments(check: argparse.ArgumentParser) -> None:
+    check.add_argument("--g", type=int, required=True, help="genus (>= 2)")
+    check.add_argument("--s", type=int, required=True, help="twist; degree is d = g - s")
+    check.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _scan_arguments(scan: argparse.ArgumentParser) -> None:
+    scan.add_argument("--g-min", type=int, required=True)
+    scan.add_argument("--g-max", type=int, required=True)
+    scan.add_argument("--s-min", type=int, required=True)
+    scan.add_argument("--s-max", type=int, required=True)
+    scan.add_argument("--format", choices=("csv", "json"), default="csv")
+    scan.add_argument("--out", type=str, default=None, help="write the table to this path")
+
+
+def _form_arguments(form: argparse.ArgumentParser) -> None:
+    form.add_argument("--a", type=int, required=True)
+    form.add_argument("--b", type=int, required=True)
+    form.add_argument("--c", type=int, required=True)
+    form.add_argument("--target", type=int, required=True)
+    form.add_argument("--format", choices=("text", "json"), default="text")
+
+
+# each subcommand, in the order of the top-level help: its help line, the
+# function that adds its arguments, and the function that runs it
+_COMMANDS = {
+    "check": ("build and print the certificate for one (g, s)", _check_arguments, cmd_check),
+    "scan": ("scan a (g, s) rectangle and emit one row per cell", _scan_arguments, cmd_scan),
+    "form": ("decide representability of a target by a raw form", _form_arguments, cmd_form),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The k3cert parser: the top level and one entry per subcommand,
+    which are all that the top-level help, usage and errors show.  With
+    `command` None every subcommand gets its arguments, its -h and its
+    function; otherwise only the one named `command`, if any, does, since
+    a call parses one subcommand (main) and building the other two's
+    arguments costs about a quarter of a ``check`` call."""
     import shutil
 
     # argparse builds a HelpFormatter, which asks for the terminal size, for
@@ -306,37 +357,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact certificates for curve/bundle numerics on K3-hosted curves.")
     # prog given, which argparse otherwise takes from a formatted usage line
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-
-    check = sub.add_parser("check", formatter_class=formatter,
-                           help="build and print the certificate for one (g, s)")
-    check.add_argument("--g", type=int, required=True, help="genus (>= 2)")
-    check.add_argument("--s", type=int, required=True, help="twist; degree is d = g - s")
-    check.add_argument("--format", choices=("text", "json"), default="text")
-    check.set_defaults(func=cmd_check)
-
-    scan = sub.add_parser("scan", formatter_class=formatter,
-                          help="scan a (g, s) rectangle and emit one row per cell")
-    scan.add_argument("--g-min", type=int, required=True)
-    scan.add_argument("--g-max", type=int, required=True)
-    scan.add_argument("--s-min", type=int, required=True)
-    scan.add_argument("--s-max", type=int, required=True)
-    scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    scan.add_argument("--out", type=str, default=None, help="write the table to this path")
-    scan.set_defaults(func=cmd_scan)
-
-    form = sub.add_parser("form", formatter_class=formatter,
-                          help="decide representability of a target by a raw form")
-    form.add_argument("--a", type=int, required=True)
-    form.add_argument("--b", type=int, required=True)
-    form.add_argument("--c", type=int, required=True)
-    form.add_argument("--target", type=int, required=True)
-    form.add_argument("--format", choices=("text", "json"), default="text")
-    form.set_defaults(func=cmd_form)
+    for name, (text, add_arguments, func) in _COMMANDS.items():
+        built = command is None or command == name
+        subparser = sub.add_parser(name, formatter_class=formatter, help=text, add_help=built)
+        if built:
+            add_arguments(subparser)
+            subparser.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # the subcommand argparse runs is named by the first positional
+    # argument, and every argument before it is an option, since the top
+    # level has no option that takes a value: so it is the first argument
+    # that names a subcommand, and usually the first argument
+    words = sys.argv[1:] if argv is None else argv
+    args = build_parser(next((w for w in words if w in _COMMANDS), "")).parse_args(argv)
     return args.func(args)
 
 

@@ -1081,6 +1081,62 @@ def test_counting_walk_fails_off_the_cycle():
         bqf._signed_strides(start, 0, start, [], start, 0, target, [], root)
 
 
+def test_edgeless_counting_walk_matches_plain_rho_walk():
+    # targets with a not dividing b, as (t, B, C) at |t| = 2 with B odd: the
+    # count from the reduced start is a plain walk's, and a target off the
+    # cycle is an internal error
+    met = missed = 0
+    for form, D in _small_indefinite_forms():
+        if abs(form[0]) > 6 or abs(form[2]) > 6:
+            continue
+        for t in (-2, 2):
+            start, targets, _, root = _walk_setup(QuadraticForm(*form), t)
+            for g in targets:
+                if g[1] % g[0] == 0 or g == start:
+                    continue
+                found = _rho_walk(start, {g}, D, root)
+                if found is None:
+                    missed += 1
+                    with pytest.raises(RuntimeError, match="internal error"):
+                        bqf._steps_to(start, g, root)
+                else:
+                    met += 1
+                    assert bqf._steps_to(start, g, root) == len(found[1]), (form, t, g)
+    assert met > 100 and missed > 100
+
+
+def test_edgeless_strided_hit_keeps_no_quotient_list(monkeypatch):
+    # a strided hit on a target with a not dividing b counts its steps with
+    # _steps_to, not with the recording walk _cycle_hit and its quotient list
+    queries = [(QuadraticForm(*form), t) for form, _ in _small_indefinite_forms()
+               if abs(form[0]) <= 8 and abs(form[2]) <= 8 for t in (-2, 2)]
+    monkeypatch.setattr(bqf, "_SWITCH", 4)
+    monkeypatch.setattr(bqf, "_window_size", lambda D: 4)
+    inside, counted = [], []
+    signed_strides, cycle_hit, steps_to = bqf._signed_strides, bqf._cycle_hit, bqf._steps_to
+
+    def signing(*args):
+        inside.append(True)
+        try:
+            return signed_strides(*args)
+        finally:
+            inside.pop()
+
+    def walk(*args):
+        assert not inside, "a strided hit recorded the quotients of its count"
+        return cycle_hit(*args)
+
+    def counting(*args):
+        counted.append(args)
+        return steps_to(*args)
+    monkeypatch.setattr(bqf, "_signed_strides", signing)
+    monkeypatch.setattr(bqf, "_cycle_hit", walk)
+    monkeypatch.setattr(bqf, "_steps_to", counting)
+    for f, t in queries:
+        represents(f, t)
+    assert len(counted) > 10
+
+
 def test_represents_long_closed_cycle_100003_2():
     # a 62,134-step cycle that neither the residue scan nor a genus character
     # settles; recorded NONE_PROVED by the plain walk

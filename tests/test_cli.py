@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -179,6 +180,47 @@ def test_help_text_matches_the_stock_formatter(monkeypatch, capsys, columns, arg
     monkeypatch.setattr(cli, "functools", types.SimpleNamespace(partial=lambda cls, **kw: cls),
                         raising=False)
     assert outcome() == ours
+
+
+LAZY_ARGV = [case[0] for case in HELP_AND_ERRORS] + [
+    ["scan"], ["form", "--a", "1"], ["check", "--g", "19", "--s", "1", "scan"],
+    # an unknown option before the subcommand: check's own error
+    ["-x", "check"]]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("argv", LAZY_ARGV)
+def test_lazy_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, columns, argv):
+    # on any interpreter: main builds only the subcommand it parses, and says
+    # what the parser with every subcommand says
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    assert outcome(main) == outcome(cli.build_parser().parse_args)
+
+
+@pytest.mark.parametrize("via", ["argv", "sys.argv"])
+def test_a_check_call_builds_no_other_subcommand(monkeypatch, capsys, via):
+    # neither an argument nor -h goes to the scan and form subparsers
+    progs = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(parser, *args, **kwargs):
+        progs.append(parser.prog)
+        return add_argument(parser, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    argv = ["check", "--g", "19", "--s", "1"]
+    if via == "sys.argv":
+        monkeypatch.setattr(sys, "argv", ["k3cert", *argv])
+        assert main() == 0
+    else:
+        assert main(argv) == 0
+    assert "k3cert check" in progs
+    assert not {"k3cert scan", "k3cert form"} & set(progs)
 
 
 def test_check_out_of_domain_genus(capsys):
