@@ -165,6 +165,14 @@ class RepDecision(NamedTuple):
         return "NoneProved"
 
 
+# the decisions that carry no witness, built once and shared, since a
+# decision is immutable and a scan takes one per cell; _REPRESENTED is
+# _decide_unit's hit, which has none
+_REPRESENTED = RepDecision(DecisionStatus.WITNESS)
+_NONE_PROVED = RepDecision(DecisionStatus.NONE_PROVED)
+_OBSTRUCTED = {k: RepDecision.obstructed(k) for k in DEFAULT_MODULI}
+
+
 def zero_witness(f: QuadraticForm) -> tuple[int, int] | None:
     """A nontrivial integer zero of f, or None when only (0, 0) vanishes.
 
@@ -824,7 +832,7 @@ def _screen(form: _Form, t: int, D: int, root: int) -> RepDecision | None:
     the residue scan."""
     k = _obstruction(form, t)
     if k is not None:
-        return RepDecision.obstructed(k)
+        return _OBSTRUCTED[k]
     if D <= 0:
         raise ValueError(f"represents requires an indefinite form, got discriminant {D}")
     if root * root == D:
@@ -832,7 +840,7 @@ def _screen(form: _Form, t: int, D: int, root: int) -> RepDecision | None:
             f"represents requires a nonsquare discriminant, got {D}; "
             "square discriminants factor into linear forms and belong to the zero test")
     if _genus_obstructed(form, t, D):
-        return RepDecision.none_proved()
+        return _NONE_PROVED
     return None
 
 
@@ -860,7 +868,7 @@ def _decide(form: _Form, t: int, D: int, root: int) -> RepDecision | _Hit:
         if found is not None and type(found[1]) is list:  # walked on from `end`
             found = found[0], head + found[1]
     if found is None:
-        return RepDecision.none_proved()
+        return _NONE_PROVED
     hit, path = found
     return _Hit(f_red, m_f, targets[hit], hit, path)
 
@@ -885,28 +893,28 @@ def _decide_unit(form: _Form, t: int, D: int, root: int) -> RepDecision:
     b = root - ((root ^ D) & 1)
     t0 = (t, b, (b * b - D) // (4 * t))
     if t0 in targets:
-        return RepDecision(DecisionStatus.WITNESS)
+        return _REPRESENTED
     # a has the sign of t after an even number of steps, and |t0's c| = (D - b^2)/4
     A, C = 2, (D - b * b) >> 1
     for _ in repeat(None, _SWITCH // 2):
         q = (root + b) // C
         b1 = C * q - b
         if b1 == b:  # the middle edge, to tau of the form before it
-            return RepDecision.none_proved()
+            return _NONE_PROVED
         A -= q * (b1 - b)
         if b1 == b_f and (-t * (C >> 1), b1, t * (A >> 1)) in targets:
-            return RepDecision(DecisionStatus.WITNESS)
+            return _REPRESENTED
         q = (root + b1) // A
         b = A * q - b1
         if b == b1:
-            return RepDecision.none_proved()
+            return _NONE_PROVED
         C -= q * (b - b1)
         if b == b_f and (t * (A >> 1), b, -t * (C >> 1)) in targets:
-            return RepDecision(DecisionStatus.WITNESS)
+            return _REPRESENTED
     end = (t * (A >> 1), b, -t * (C >> 1))
     if _giant(t0, end, _SWITCH // 2 * 2, targets, D, root) is None:
-        return RepDecision.none_proved()
-    return RepDecision(DecisionStatus.WITNESS)
+        return _NONE_PROVED
+    return _REPRESENTED
 
 
 def represents(f: QuadraticForm, t: int) -> RepDecision:

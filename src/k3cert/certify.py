@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .bqf import DecisionStatus, RepDecision, int_text
 from .clifford import CliffordReport, verify_clifford
@@ -51,7 +51,7 @@ def expected_dim_bn24(g: int, s: int) -> int:
 
 @lru_cache(maxsize=1024)
 def _half(n: int) -> Fraction:
-    """n/2 as a Fraction, memoised: consecutive cells of a scan share their
+    """n/2 as a Fraction, memoised: certificates of nearby cells share their
     halves (gamma_E, the gap), and a Fraction is immutable, so one object
     serves them all without normalising n/2 again."""
     return Fraction(n, 2)
@@ -60,11 +60,17 @@ def _half(n: int) -> Fraction:
 def gap_lower_bound(g: int, s: int) -> Fraction:
     """floor((g-1)/2) - ((g-s)/2 - 2), which is gamma1 - gamma_E, as an exact
     rational; strictly positive whenever s >= -1."""
+    return _half(_twice_gap(g, s))
+
+
+def _twice_gap(g: int, s: int) -> int:
+    """2 * gap_lower_bound(g, s), an int, with its positivity check; a scan
+    row reads it."""
     twice_gap = 2 * ((g - 1) // 2) - (g - s) + 4
     if s >= -1 and twice_gap <= 0:
         raise AssertionError(
             f"gap bound must be positive for s >= -1, got {Fraction(twice_gap, 2)}")
-    return _half(twice_gap)
+    return twice_gap
 
 
 def decide_conclusion(regime: str, lemma21_ok: bool, square_zero_free: bool,
@@ -102,41 +108,27 @@ class Certificate(NamedTuple):
     reasons: tuple[str, ...]
 
 
-def _fields(g: int, s: int, decide: Callable[[K3Config], RepDecision]) -> tuple:
-    """The fields of the certificate of (g, s), in order, all but its
-    reasons, with the (-2) decision that `decide` makes for K3Config(g, s): the
-    checks that build_certificate and a scan row share.  `decide` need only
-    give the decision's status.
-
-    The decision is None where Delta is not positive nonsquare, and the
-    Clifford report is None where it is not run because the decision found
-    a (-2)-class.  Delta < 0 or nonsquare is both Lemma 2.1 and the absence
-    of isotropic classes: the form D.D = 6m^2 + 2dmn + (2g-2)n^2 has
-    discriminant 4 * Delta, so lemma21_ok and square_zero_free are one flag."""
-    cfg = K3Config(g, s)
-    d = cfg.d
-    regime = check_hypotheses(g, s)
-    delta_ok = cfg.root * cfg.root != cfg.delta
-    minus_two = decide(cfg) if cfg.delta > 0 and delta_ok else None
-    minus_two_ok = minus_two is not None and minus_two.status is not DecisionStatus.WITNESS
-    clifford = verify_clifford(cfg) if minus_two_ok else None
-    conclusion = decide_conclusion(regime, delta_ok, delta_ok, minus_two_ok,
-                                   clifford is not None and clifford.passed)
-    # gamma_E is clifford.gamma(2, d, 4), written out
-    return (g, s, d, regime, delta_ok, delta_ok, minus_two, clifford, (g - 1) // 2,
-            _half(d - 4), gap_lower_bound(g, s), expected_dim_bn24(g, s), 2 * s + 4, 5,
-            conclusion)
-
-
 def build_certificate(g: int, s: int) -> Certificate:
     """Run every check for (g, s) and assemble the certificate.
 
     Nothing is caught: a sub-operation whose precondition fails is skipped
     and a reason is recorded instead, so any g >= 2 yields a full row of
-    arithmetic fields.
+    arithmetic fields.  The (-2) decision is None where Delta is not
+    positive nonsquare, and the Clifford report is None where it is not run
+    because the decision found a (-2)-class.  Delta < 0 or nonsquare is both
+    Lemma 2.1 and the absence of isotropic classes: the form
+    D.D = 6m^2 + 2dmn + (2g-2)n^2 has discriminant 4 * Delta, so lemma21_ok
+    and square_zero_free are one flag.
     """
-    fields = _fields(g, s, minus_two_status)
-    _, _, _, regime, delta_ok, _, minus_two, clifford, *_ = fields
+    cfg = K3Config(g, s)
+    d = cfg.d
+    regime = check_hypotheses(g, s)
+    delta_ok = cfg.root * cfg.root != cfg.delta
+    minus_two = minus_two_status(cfg) if cfg.delta > 0 and delta_ok else None
+    minus_two_ok = minus_two is not None and minus_two.status is not DecisionStatus.WITNESS
+    clifford = verify_clifford(cfg) if minus_two_ok else None
+    conclusion = decide_conclusion(regime, delta_ok, delta_ok, minus_two_ok,
+                                   clifford is not None and clifford.passed)
     reasons: list[str] = []
     if regime == REGIME_OUTSIDE:
         reasons.append(f"(g, s) = ({g}, {s}) lies outside both hypothesis ranges")
@@ -150,4 +142,7 @@ def build_certificate(g: int, s: int) -> Certificate:
         reasons.append(f"a (-2)-class exists at (m, n) = ({int_text(m)}, {int_text(n)})")
     elif not clifford.passed:
         reasons.append("constraint-region minimum falls below floor((g-1)/2)")
-    return Certificate(*fields, tuple(reasons))
+    # gamma_E is clifford.gamma(2, d, 4), written out
+    return Certificate(g, s, d, regime, delta_ok, delta_ok, minus_two, clifford, (g - 1) // 2,
+                       _half(d - 4), gap_lower_bound(g, s), expected_dim_bn24(g, s), 2 * s + 4,
+                       5, conclusion, tuple(reasons))

@@ -13,16 +13,18 @@ stdout): ``main`` raises it, and ``run``, the console script's and
 
 A scan makes one pass over its cells.  Each cell yields a row, a plain
 tuple in CSV_COLUMNS order, which is folded into the summary (cell count,
-theorem_applies count, first maximal gap).  A row takes the checks that
-build_certificate makes, with the (-2) decision alone: a row shows only
-the decision's method, so a scan assembles no witness, writes no reasons
-and builds no Certificate, and scan_row(build_certificate(g, s)) is the
-same row.  Rows are emitted in deterministic order (g ascending, then s
-ascending) to the output file or stdout; the one-line summary goes to
-stderr so that CSV/JSON payloads stay machine-parseable.  A scan runs in
-one process.  Since rows come out g-ascending, the rows of scans over
-consecutive disjoint g-ranges, run in separate processes, concatenate in
-range order to the rows of one scan over their union.
+theorem_applies count, first maximal gap).  A row is computed from the
+cell's integers (_scan_cell) by build_certificate's checks, with the (-2)
+decision alone and the Clifford step's minimum alone, since a row shows
+only the decision's method and whether the minimum passes.  So a scan
+builds no witness, no reasons and no record, and
+scan_row(build_certificate(g, s)) is the same row.  Rows are emitted in
+deterministic order (g ascending, then s ascending) to the output file or
+stdout; the one-line summary goes to stderr so that CSV/JSON payloads stay
+machine-parseable.  A scan runs in one process.  Since rows come out
+g-ascending, the rows of scans over consecutive disjoint g-ranges, run in
+separate processes, concatenate in range order to the rows of one scan
+over their union.
 
 Each call of ``main`` builds its parser anew, with no cache.  It builds the
 top level and the three subcommand entries, which are all that the
@@ -39,10 +41,12 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from .bqf import DecisionStatus, QuadraticForm, RepDecision, represents, zero_witness
-from .certify import CONCLUSION_APPLIES, Certificate, _fields, build_certificate
-from .clifford import CliffordReport
+from .certify import (CONCLUSION_APPLIES, Certificate, _twice_gap, build_certificate,
+                      check_hypotheses, decide_conclusion, expected_dim_bn24)
+from .clifford import CliffordReport, _minimum
 from .lattice import _minus_two_decision
 
 MIN_SCAN_GENUS = 12
@@ -55,6 +59,7 @@ CSV_COLUMNS = ("g", "s", "d", "regime", "lemma21_ok", "square_zero_free", "minus
 _BOOL_TEXT = ("false", "true")
 
 _OBSTRUCTED_MOD = DecisionStatus.OBSTRUCTED_MOD
+_WITNESS = DecisionStatus.WITNESS
 
 
 def _method_text(dec: RepDecision) -> str:
@@ -71,25 +76,45 @@ def frac_str(x: Fraction) -> str:
     return "%d/%d" % x.as_integer_ratio()
 
 
-def scan_row(cert: Certificate | tuple) -> tuple:
-    """The scan row of `cert`, or of a certificate's fields without its
-    reasons: its values in CSV_COLUMNS order, with rationals rendered as
-    reduced "p/q" strings (frac_str, written out)."""
-    (g, s, d, regime, lemma21_ok, zero_free, dec, rep, gamma1, gamma_E, gap, dim,
-     _, _, conclusion) = cert[:15]
-    return (g, s, d, regime, lemma21_ok, zero_free,
-            "" if dec is None else _method_text(dec),
-            rep is not None and rep.passed, gamma1,
-            "%d/%d" % gamma_E.as_integer_ratio(), "%d/%d" % gap.as_integer_ratio(),
-            dim, conclusion)
+def scan_row(cert: Certificate) -> tuple:
+    """The scan row of `cert`: its values in CSV_COLUMNS order, with
+    rationals rendered as reduced "p/q" strings."""
+    dec, rep = cert.minus_two, cert.clifford
+    return (cert.g, cert.s, cert.d, cert.regime, cert.lemma21_ok, cert.square_zero_free,
+            "" if dec is None else _method_text(dec), rep is not None and rep.passed,
+            cert.gamma1, frac_str(cert.gamma_E), frac_str(cert.gap_lower_bound),
+            cert.expected_dim, cert.conclusion)
 
 
-def _scan_cell(g: int, s: int) -> tuple[tuple, Fraction]:
+def _half_text(n: int) -> str:
+    """n/2 as reduced "p/q" text: frac_str(Fraction(n, 2))."""
+    return "%d/2" % n if n & 1 else "%d/1" % (n >> 1)
+
+
+def _scan_cell(g: int, s: int) -> tuple[tuple, int]:
     """The scan row of (g, s), which is scan_row(build_certificate(g, s)),
-    and its gap lower bound: the certificate's fields with the (-2) decision
-    alone, so no witness, no reasons and no Certificate."""
-    fields = _fields(g, s, _minus_two_decision)
-    return scan_row(fields), fields[10]
+    and twice its gap lower bound, computed from ints: build_certificate's
+    checks, with the (-2) decision alone and the Clifford step's minimum
+    alone, so no witness, no reasons and no record."""
+    d = g - s
+    delta = d * d - 12 * (g - 1)
+    root = isqrt(delta) if delta > 0 else 0
+    delta_ok = root * root != delta
+    method = ""
+    minus_two_ok = clifford_pass = False
+    if delta > 0 and delta_ok:
+        dec = _minus_two_decision(d, g, delta, root)
+        method = _method_text(dec)
+        if dec.status is not _WITNESS:
+            minus_two_ok = True
+            low = _minimum(d, g, delta)[0]
+            clifford_pass = low is None or low >= (g - 1) // 2
+    regime = check_hypotheses(g, s)
+    twice_gap = _twice_gap(g, s)
+    return (g, s, d, regime, delta_ok, delta_ok, method, clifford_pass, (g - 1) // 2,
+            _half_text(d - 4), _half_text(twice_gap), expected_dim_bn24(g, s),
+            decide_conclusion(regime, delta_ok, delta_ok, minus_two_ok, clifford_pass)
+            ), twice_gap
 
 
 # one scan row of CSV text; no value of a row needs quoting: ints, bool
@@ -184,20 +209,19 @@ def run_scan(g_min: int, g_max: int, s_min: int, s_max: int) -> tuple[list[tuple
     cell of maximal gap lower bound."""
     rows = []
     applies = 0
-    max_gap = max_at = None
+    max_at = None
     max_twice = 0  # 2 * max_gap, an int, since every gap is a half-integer
     for g, s in scan_cells(g_min, g_max, s_min, s_max):
-        row, gap = _scan_cell(g, s)
+        row, twice = _scan_cell(g, s)
         rows.append(row)
         applies += row[-1] == CONCLUSION_APPLIES
-        twice = 2 * gap.numerator // gap.denominator
         # strict >, so ties go to the earliest cell
         if max_at is None or twice > max_twice:
-            max_gap, max_twice, max_at = gap, twice, {"g": g, "s": s}
+            max_twice, max_at = twice, {"g": g, "s": s}
     summary = {
         "cells": len(rows),
         "theorem_applies": applies,
-        "max_gap": frac_str(max_gap) if max_gap is not None else None,
+        "max_gap": _half_text(max_twice) if max_at is not None else None,
         "max_gap_at": max_at,
     }
     return rows, summary

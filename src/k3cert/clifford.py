@@ -8,9 +8,11 @@ rationals.  verify_clifford re-establishes the inequality
 over the lattice region cut out by three arithmetic constraints.  In each
 slice of fixed n the region is one interval of m, found exactly with an
 integer square root, and f is strictly concave in m, so the slice minimum
-sits at an endpoint of that interval; the work per slice is constant.
-brute_force_min_f is the independent oracle for the same minimum on a
-finite box.
+sits at an endpoint of that interval; the work per slice is constant.  The
+slice loop is one private function on ints, _minimum, which verify_clifford
+wraps in its checks and its report, and whose minimum alone a scan row
+reads.  brute_force_min_f is the independent oracle for the same minimum on
+a finite box.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class CliffordReport(NamedTuple):
 
 def verify_clifford(cfg: K3Config) -> CliffordReport:
     """Certified exact minimization of f over the full constraint region;
-    ValueError unless d^2 - 12(g-1) is positive and nonsquare.
+    ValueError unless d^2 - 12(g-1) is positive and nonsquare.  The
+    minimization itself is _minimum's, on the ints of cfg.
 
     Finiteness: write R for the irrational sqrt(d^2 - 12(g-1)).  c1 forces
     m off the open interval between the roots -an and -bn of the quadratic
@@ -113,8 +116,20 @@ def verify_clifford(cfg: K3Config) -> CliffordReport:
     if cfg.root * cfg.root == gap:
         raise ValueError(f"requires d^2 - 12(g-1) nonsquare; got {gap} for (g, s) = ({g}, {cfg.s})")
     target = (g - 1) // 2
+    best_val, m, n, region, n_max = _minimum(d, g, gap)
+    best_at = DivisorClass(m, n) if best_val is not None else None
+    passed = best_val is None or best_val >= target
+    return CliffordReport(best_val, best_at, region, n_max + 1, target, passed)
+
+
+def _minimum(d: int, g: int, gap: int) -> tuple[int | None, int, int, int, int]:
+    """verify_clifford's minimization for degree d, genus g and the positive
+    nonsquare gap = d^2 - 12(g-1), unchecked, in ints: the minimum of f (None
+    on an empty region), the m and n of its argmin, the region size, and
+    n_max = bound_n - 1, the largest |n| scanned.  d <= 4 leaves c2 empty, so
+    no slice is scanned (n_max = -1).  A scan row reads the minimum alone."""
     if d <= 4:
-        return CliffordReport(None, None, 0, 0, target, True)
+        return None, 0, 0, 0, -1
     # floor((d-2)/R) = isqrt(floor((d-2)^2/R^2)), as floor(sqrt(x)) = isqrt(floor(x))
     n_max = isqrt((d - 2) ** 2 // gap)
     best_val: int | None = None
@@ -135,9 +150,7 @@ def verify_clifford(cfg: K3Config) -> CliffordReport:
             v = (f_lin - 6 * m) * m + f_const
             if best_val is None or v < best_val:
                 best_val, best_m, best_n = v, m, n
-    best_at = DivisorClass(best_m, best_n) if best_val is not None else None
-    passed = best_val is None or best_val >= target
-    return CliffordReport(best_val, best_at, region, n_max + 1, target, passed)
+    return best_val, best_m, best_n, region, n_max
 
 
 def brute_force_min_f(cfg: K3Config, box_radius: int) -> CliffordReport:

@@ -92,10 +92,11 @@ def minus_two_status(cfg: K3Config) -> RepDecision:
     return represents(minus_two_form(cfg), -1)
 
 
-def _minus_two_decision(cfg: K3Config) -> RepDecision:
-    """minus_two_status without the witness, for a scan row: the decision
-    alone (_decide_unit, on half of the target's cycle), on minus_two_form's
-    coefficients, with the Delta and root of cfg (minus_two_form's
-    discriminant).  Its status and modulus are those of minus_two_status; a
+def _minus_two_decision(d: int, g: int, delta: int, root: int) -> RepDecision:
+    """minus_two_status without the witness, for a scan row, from the ints
+    of K3Config(g, s) with d = g - s: the decision alone (_decide_unit, on
+    half of the target's cycle), on minus_two_form's coefficients, with
+    delta = d^2 - 12(g-1) (minus_two_form's discriminant) and root =
+    isqrt(delta).  Its status and modulus are those of minus_two_status; a
     hit carries no witness."""
-    return _decide_unit((3, cfg.d, cfg.g - 1), -1, cfg.delta, cfg.root)
+    return _decide_unit((3, d, g - 1), -1, delta, root)

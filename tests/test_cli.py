@@ -6,11 +6,14 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from k3cert import bqf, cli, lattice
-from k3cert.bqf import DecisionStatus
+from k3cert.bqf import DecisionStatus, RepDecision
 from k3cert.certify import Certificate, build_certificate
 from k3cert.cli import (
     CSV_COLUMNS,
@@ -22,7 +25,7 @@ from k3cert.cli import (
     scan_row,
 )
 from k3cert.clifford import CliffordReport
-from k3cert.lattice import K3Config
+from k3cert.lattice import DivisorClass, K3Config
 
 from test_bqf import PINNED_CELLS, PINNED_LARGE
 
@@ -395,13 +398,57 @@ def test_scan_path_decides_as_represents():
     statuses = set()
     for g, s in DECISION_CELLS:
         cert = build_certificate(g, s)
-        row, gap = cli._scan_cell(g, s)
-        assert row == scan_row(cert) and gap == cert.gap_lower_bound, (g, s)
+        row, twice_gap = cli._scan_cell(g, s)
+        assert row == scan_row(cert) and twice_gap == 2 * cert.gap_lower_bound, (g, s)
         if cert.minus_two is not None:
-            dec = lattice._minus_two_decision(K3Config(g, s))
+            cfg = K3Config(g, s)
+            dec = lattice._minus_two_decision(cfg.d, g, cfg.delta, cfg.root)
             assert (dec.status, dec.modulus) == (cert.minus_two.status, cert.minus_two.modulus)
             statuses.add(dec.status)
     assert statuses == set(DecisionStatus)
+
+
+def test_scan_rows_are_certificate_rows_past_every_edge():
+    # s up to 2g reaches s > g (negative d and gamma_E), d <= 4 (a vacuous
+    # Clifford step), the relaxed line g = 4s + 12, and Delta <= 0 or square
+    seen = Counter()
+    for g in range(12, 81):
+        rows, summary = run_scan(g, g, -1, 2 * g)
+        certs = [build_certificate(g, s) for s in range(-1, 2 * g + 1)]
+        assert rows == [scan_row(cert) for cert in certs], g
+        gaps = [cert.gap_lower_bound for cert in certs]
+        top = max(gaps)
+        assert summary["max_gap"] == cli.frac_str(top)
+        assert summary["max_gap_at"] == {"g": g, "s": certs[gaps.index(top)].s}
+        for cert in certs:
+            delta = cert.d * cert.d - 12 * (g - 1)
+            seen["negative d"] += cert.d < 0
+            seen["d <= 4"] += cert.d <= 4 and cert.clifford is not None
+            seen["relaxed"] += cert.regime == "relaxed"
+            seen["delta <= 0"] += delta <= 0
+            seen["delta square"] += delta > 0 and isqrt(delta) ** 2 == delta
+    assert len(seen) == 5 and all(seen.values()), seen
+
+
+def test_scan_builds_no_record_per_cell(monkeypatch):
+    # a scan row is computed from ints: run_scan builds none of the records
+    # a certificate holds, while build_certificate, under the same count,
+    # does build them
+    built = Counter()
+    for cls, name in ((K3Config, "__init__"), (DivisorClass, "__init__"),
+                      (RepDecision, "__new__"), (CliffordReport, "__new__"),
+                      (Fraction, "__new__")):
+        make = vars(cls)[name]
+
+        def counted(*args, _make=make, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            return _make(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    rows, summary = run_scan(12, 600, -1, 10)
+    assert len(rows) == 7068 and summary["max_gap"] == "13/2"
+    assert built == Counter()
+    build_certificate(19, 1)
+    assert built["K3Config"] == built["CliffordReport"] == built["DivisorClass"] == 1
 
 
 def test_scan_rows_past_the_switch(monkeypatch):
