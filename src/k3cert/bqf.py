@@ -25,18 +25,16 @@ at the first target met, which it returns with the quotients or strides
 that reach it and no witness.  represents, behind `check` and `form`, takes
 the decision and assembles the witness from it.
 
-A scan row shows only the decision's method, and its target is -1
-(k3cert.lattice), so it takes a decision for |t| = 1 alone (_decide_unit),
-which walks half of the target's cycle instead of f's.  Every (t, B, C)
-with B = D (mod 2) is a translate of t0 = (t, b, c0), b the one of
-root - 1 and root that has the parity of D.  t0 is reduced, and
+A scan row shows only the decision's method, and its form family and
+target -1 are fixed, so it takes the residue scan and genus characters
+specialised to them (k3cert.lattice) and then _decide_unit's walk alone
+(_unit_walk), on half of the target's cycle instead of f's.  Every
+(t, B, C) with B = D (mod 2) is a translate of t0 = (t, b, c0), b the one
+of root - 1 and root that has the parity of D.  t0 is reduced, and
 rho(tau t0) = t0 (see below), so its cycle F_0 = t0, ..., F_(L-1) has
 F_(L-1-k) = tau(F_k), and its only edges are at steps L/2 - 1 and L - 1.
 f_red is on it exactly when f_red or tau(f_red) is among
 F_0 ... F_(L/2-1), so that walk ends at the middle edge.
-
-The residue scan that runs before all of this is memoised on the
-coefficients and the target mod k, which is all its answer depends on.
 
 The cycle is walked one division per step, and the walk only records its
 quotients, so a walk that closes multiplies nothing.  Where every target
@@ -167,7 +165,7 @@ class RepDecision(NamedTuple):
 
 # the decisions that carry no witness, built once and shared, since a
 # decision is immutable and a scan takes one per cell; _REPRESENTED is
-# _decide_unit's hit, which has none
+# _unit_walk's hit, which has none
 _REPRESENTED = RepDecision(DecisionStatus.WITNESS)
 _NONE_PROVED = RepDecision(DecisionStatus.NONE_PROVED)
 _OBSTRUCTED = {k: RepDecision.obstructed(k) for k in DEFAULT_MODULI}
@@ -204,7 +202,7 @@ def modular_obstruction(f: QuadraticForm, t: int) -> int | None:
     Exhausts all residue pairs, so a returned modulus is a sound proof that
     t is not represented over the integers.  The answer for one k depends
     only on the coefficients and t mod k, so it is memoised on those
-    residues: a scan of K3 cells meets at most 451 distinct keys.
+    residues; the tables of a scan's (-2) screen read 451 of them.
     """
     return _obstruction((f.a, f.b, f.c), t)
 
@@ -468,7 +466,7 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 
 # The windows and h cost about 2,000 walk steps (measured when the switch
 # was set), and the scan-grid benchmark's half walks of the target's cycle
-# (_decide_unit) all end within 881 steps.
+# (_unit_walk) all end within 881 steps.
 _SWITCH = 2048
 
 
@@ -875,18 +873,14 @@ def _decide(form: _Form, t: int, D: int, root: int) -> RepDecision | _Hit:
 
 def _decide_unit(form: _Form, t: int, D: int, root: int) -> RepDecision:
     """_decide's status and modulus for |t| = 1, on half of the target's
-    cycle (see the module docstring); a hit has no witness.  A scan row
-    takes this alone.
+    cycle (see the module docstring), with no witness; a decision is truthy."""
+    return _screen(form, t, D, root) or _unit_walk(form, t, D, root)
 
-    After _screen and the reduction of f to f_red, it walks the cycle of t0
-    from t0 for f_red or tau(f_red), up to the middle edge, the first step
-    that keeps b.  The walk is _cycle_hit's, two steps per pass, but records
-    nothing and rebuilds a form only where b is f_red's.  A walk open after
-    _SWITCH steps is finished on t0's cycle by _giant, with f_red and
-    tau(f_red) as targets; only its decision is kept."""
-    screened = _screen(form, t, D, root)
-    if screened is not None:
-        return screened
+
+def _unit_walk(form: _Form, t: int, D: int, root: int) -> RepDecision:
+    """_decide_unit's decision past _screen: the walk of t0's cycle for f_red
+    or tau(f_red) up to its middle edge, _cycle_hit's walk recording nothing,
+    finished past _SWITCH steps by _giant with f_red and tau(f_red)."""
     f_red, _ = _reduce(form, D, root)
     a_f, b_f, c_f = f_red
     targets = f_red, (c_f, b_f, a_f)

@@ -12,7 +12,6 @@ asserts exactly that every numerical hypothesis has been verified.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .bqf import DecisionStatus, RepDecision, int_text
@@ -49,18 +48,10 @@ def expected_dim_bn24(g: int, s: int) -> int:
     return value
 
 
-@lru_cache(maxsize=1024)
-def _half(n: int) -> Fraction:
-    """n/2 as a Fraction, memoised: certificates of nearby cells share their
-    halves (gamma_E, the gap), and a Fraction is immutable, so one object
-    serves them all without normalising n/2 again."""
-    return Fraction(n, 2)
-
-
 def gap_lower_bound(g: int, s: int) -> Fraction:
     """floor((g-1)/2) - ((g-s)/2 - 2), which is gamma1 - gamma_E, as an exact
     rational; strictly positive whenever s >= -1."""
-    return _half(_twice_gap(g, s))
+    return Fraction(_twice_gap(g, s), 2)
 
 
 def _twice_gap(g: int, s: int) -> int:
@@ -144,5 +135,5 @@ def build_certificate(g: int, s: int) -> Certificate:
         reasons.append("constraint-region minimum falls below floor((g-1)/2)")
     # gamma_E is clifford.gamma(2, d, 4), written out
     return Certificate(g, s, d, regime, delta_ok, delta_ok, minus_two, clifford, (g - 1) // 2,
-                       _half(d - 4), gap_lower_bound(g, s), expected_dim_bn24(g, s), 2 * s + 4,
-                       5, conclusion, tuple(reasons))
+                       Fraction(d - 4, 2), gap_lower_bound(g, s), expected_dim_bn24(g, s),
+                       2 * s + 4, 5, conclusion, tuple(reasons))

@@ -11,20 +11,17 @@ stdout): ``main`` raises it, and ``run``, the console script's and
 ``python -m k3cert``'s entry, reports it on stderr as ``internal error:
 <message>`` after the traceback.
 
-A scan makes one pass over its cells.  Each cell yields a row, a plain
-tuple in CSV_COLUMNS order, which is folded into the summary (cell count,
-theorem_applies count, first maximal gap).  A row is computed from the
-cell's integers (_scan_cell) by build_certificate's checks, with the (-2)
-decision alone and the Clifford step's minimum alone, since a row shows
-only the decision's method and whether the minimum passes.  So a scan
-builds no witness, no reasons and no record, and
-scan_row(build_certificate(g, s)) is the same row.  Rows are emitted in
-deterministic order (g ascending, then s ascending) to the output file or
-stdout; the one-line summary goes to stderr so that CSV/JSON payloads stay
-machine-parseable.  A scan runs in one process.  Since rows come out
-g-ascending, the rows of scans over consecutive disjoint g-ranges, run in
-separate processes, concatenate in range order to the rows of one scan
-over their union.
+A scan makes one pass over its cells, a genus at a time (_scan_genus),
+with what depends on g alone, the (-2) screen among it (k3cert.lattice),
+worked out once.  Its rows, plain tuples in CSV_COLUMNS order, are
+computed from ints by build_certificate's checks, with the (-2) decision
+and the Clifford minimum alone, as a row shows only the decision's method
+and whether the minimum passes; scan_row(build_certificate(g, s)) is the
+same row.  Rows go out g ascending, then s ascending, to the output file
+or stdout, and the one-line summary to stderr, so that CSV and JSON
+payloads stay machine-parseable.  A scan runs in one process; scans over
+consecutive disjoint g-ranges concatenate in range order to one scan over
+their union.
 
 Each call of ``main`` builds its parser anew, with no cache.  It builds the
 top level and the three subcommand entries, which are all that the
@@ -47,7 +44,7 @@ from .bqf import DecisionStatus, QuadraticForm, RepDecision, represents, zero_wi
 from .certify import (CONCLUSION_APPLIES, Certificate, _twice_gap, build_certificate,
                       check_hypotheses, decide_conclusion, expected_dim_bn24)
 from .clifford import CliffordReport, _minimum
-from .lattice import _minus_two_decision
+from .lattice import _minus_two_genus
 
 MIN_SCAN_GENUS = 12
 
@@ -63,12 +60,9 @@ _WITNESS = DecisionStatus.WITNESS
 
 
 def _method_text(dec: RepDecision) -> str:
-    """The text of a decision's method, by its status: the residue scan
-    settles exactly the obstructed outcomes, and every other outcome comes
-    from the proper-equivalence decision (genus characters, then the
-    reduction cycle).  The status is told by identity, with the member
-    bound once: hashing an Enum member runs Python-level Enum.__hash__, and
-    reading it off the class costs as much."""
+    """The text of a decision's method: mod_scan for the residue scan's
+    obstructions, pell_search for the rest.  The status is told by identity,
+    with the member bound once (hashing one runs Python-level code)."""
     return "mod_scan" if dec.status is _OBSTRUCTED_MOD else "pell_search"
 
 
@@ -91,30 +85,28 @@ def _half_text(n: int) -> str:
     return "%d/2" % n if n & 1 else "%d/1" % (n >> 1)
 
 
-def _scan_cell(g: int, s: int) -> tuple[tuple, int]:
-    """The scan row of (g, s), which is scan_row(build_certificate(g, s)),
-    and twice its gap lower bound, computed from ints: build_certificate's
-    checks, with the (-2) decision alone and the Clifford step's minimum
-    alone, so no witness, no reasons and no record."""
-    d = g - s
-    delta = d * d - 12 * (g - 1)
-    root = isqrt(delta) if delta > 0 else 0
-    delta_ok = root * root != delta
-    method = ""
-    minus_two_ok = clifford_pass = False
-    if delta > 0 and delta_ok:
-        dec = _minus_two_decision(d, g, delta, root)
-        method = _method_text(dec)
-        if dec.status is not _WITNESS:
-            minus_two_ok = True
-            low = _minimum(d, g, delta)[0]
-            clifford_pass = low is None or low >= (g - 1) // 2
-    regime = check_hypotheses(g, s)
-    twice_gap = _twice_gap(g, s)
-    return (g, s, d, regime, delta_ok, delta_ok, method, clifford_pass, (g - 1) // 2,
-            _half_text(d - 4), _half_text(twice_gap), expected_dim_bn24(g, s),
-            decide_conclusion(regime, delta_ok, delta_ok, minus_two_ok, clifford_pass)
-            ), twice_gap
+def _scan_genus(g: int, s_min: int, s_max: int) -> tuple[list[tuple], int]:
+    """The scan rows of genus g for s_min <= s <= s_max (see the module
+    docstring), and twice the last one's gap, the largest (it grows with s)."""
+    twelve_c, gamma1 = 12 * (g - 1), (g - 1) // 2
+    decide = _minus_two_genus(g)
+    rows = []
+    for s in range(s_min, s_max + 1):
+        d = g - s
+        delta = d * d - twelve_c
+        root = isqrt(delta) if delta > 0 else 0
+        delta_ok = root * root != delta
+        dec = decide(d, delta, root) if delta > 0 and delta_ok else None
+        minus_two_ok = dec is not None and dec.status is not _WITNESS
+        low = _minimum(d, g, delta)[0] if minus_two_ok else None
+        clifford_pass = minus_two_ok and (low is None or low >= gamma1)
+        regime = check_hypotheses(g, s)
+        twice_gap = _twice_gap(g, s)
+        rows.append((g, s, d, regime, delta_ok, delta_ok, "" if dec is None else _method_text(dec),
+                     clifford_pass, gamma1, _half_text(d - 4), _half_text(twice_gap),
+                     expected_dim_bn24(g, s),
+                     decide_conclusion(regime, delta_ok, delta_ok, minus_two_ok, clifford_pass)))
+    return rows, twice_gap
 
 
 # one scan row of CSV text; no value of a row needs quoting: ints, bool
@@ -195,32 +187,23 @@ def render_certificate_text(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scan_cells(g_min: int, g_max: int, s_min: int, s_max: int) -> list[tuple[int, int]]:
-    """Admissible cells of the requested rectangle, g ascending then s
-    ascending.  Cells below the universal genus floor are skipped."""
-    return [(g, s)
-            for g in range(max(g_min, MIN_SCAN_GENUS), g_max + 1)
-            for s in range(s_min, s_max + 1)]
-
-
 def run_scan(g_min: int, g_max: int, s_min: int, s_max: int) -> tuple[list[tuple], dict]:
-    """The scan rows of the admissible cells, in scan_cells order, and the
-    scan summary: the cell count, the theorem_applies count, and the first
-    cell of maximal gap lower bound."""
+    """The scan rows of the admissible cells, g ascending then s ascending,
+    and the scan summary: the cell count, the theorem_applies count, and the
+    first cell of maximal gap lower bound.  Cells below the universal genus
+    floor are skipped."""
     rows = []
-    applies = 0
     max_at = None
     max_twice = 0  # 2 * max_gap, an int, since every gap is a half-integer
-    for g, s in scan_cells(g_min, g_max, s_min, s_max):
-        row, twice = _scan_cell(g, s)
-        rows.append(row)
-        applies += row[-1] == CONCLUSION_APPLIES
+    for g in range(max(g_min, MIN_SCAN_GENUS), g_max + 1) if s_min <= s_max else ():
+        genus_rows, twice = _scan_genus(g, s_min, s_max)
+        rows += genus_rows
         # strict >, so ties go to the earliest cell
         if max_at is None or twice > max_twice:
-            max_twice, max_at = twice, {"g": g, "s": s}
+            max_twice, max_at = twice, {"g": g, "s": s_max}
     summary = {
         "cells": len(rows),
-        "theorem_applies": applies,
+        "theorem_applies": [row[-1] for row in rows].count(CONCLUSION_APPLIES),
         "max_gap": _half_text(max_twice) if max_at is not None else None,
         "max_gap_at": max_at,
     }

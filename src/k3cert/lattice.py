@@ -8,9 +8,12 @@ H.C = d = g - s, C.C = 2g - 2.  Divisor classes are integer pairs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from functools import cache
+from math import gcd, isqrt, prod
+from typing import Callable
 
-from .bqf import QuadraticForm, RepDecision, _decide_unit, represents
+from .bqf import (_GENUS_PRIMES, _NONE_PROVED, _OBSTRUCTED, DEFAULT_MODULI, QuadraticForm,
+                  RepDecision, _residue_hit, _unit_walk, represents)
 
 
 @dataclass(frozen=True)
@@ -92,11 +95,40 @@ def minus_two_status(cfg: K3Config) -> RepDecision:
     return represents(minus_two_form(cfg), -1)
 
 
-def _minus_two_decision(d: int, g: int, delta: int, root: int) -> RepDecision:
-    """minus_two_status without the witness, for a scan row, from the ints
-    of K3Config(g, s) with d = g - s: the decision alone (_decide_unit, on
-    half of the target's cycle), on minus_two_form's coefficients, with
-    delta = d^2 - 12(g-1) (minus_two_form's discriminant) and root =
-    isqrt(delta).  Its status and modulus are those of minus_two_status; a
-    hit carries no witness."""
-    return _decide_unit((3, d, g - 1), -1, delta, root)
+@cache
+def _residue_masks() -> tuple[tuple, ...]:
+    """The residue scan of (3, d, c) at -1 as tables, built from _residue_hit
+    on first use: for n = 16, 9 and 5, by [c % n][d % n], the bitmask of the
+    k | n in DEFAULT_MODULI that obstruct, bit i for DEFAULT_MODULI[i]; and
+    by the OR of the three masks, _obstruction((3, d, c), -1)'s decision."""
+    tables = [tuple(tuple(sum(1 << i for i, k in enumerate(DEFAULT_MODULI) if n % k == 0
+                              and not _residue_hit(k, 3 % k, d % k, c % k, -1 % k))
+                          for d in range(n)) for c in range(n)) for n in (16, 9, 5)]
+    first = tuple(next((_OBSTRUCTED[k] for i, k in enumerate(DEFAULT_MODULI) if mask >> i & 1),
+                       None) for mask in range(1 << len(DEFAULT_MODULI)))
+    return *tables, first
+
+
+_NONRESIDUE_PRODUCT = prod(p for p in _GENUS_PRIMES if p % 3 == 2)
+
+
+def _minus_two_genus(g: int) -> Callable[[int, int, int], RepDecision]:
+    """The (-2) decision of the scan rows of genus g, a function of d, delta
+    = d^2 - 12(g-1) > 0 nonsquare and its isqrt: _decide_unit on (3, d, g-1)
+    at -1, so minus_two_status with no witness, its screen specialised to
+    the form and set up once per g.  The residue scan is three lookups, and
+    the genus characters one gcd: at a prime p > 3 dividing delta, 12Q =
+    (6m + dn)^2 - delta n^2 makes Q = -1 need -3 to be a square mod p, which
+    it is not for p = 2 (mod 3); at p = 3, Q = (g-1)n^2 (mod 3)."""
+    c = g - 1
+    by16, by9, by5, first = _residue_masks()
+    at16, at9, at5 = by16[c % 16], by9[c % 9], by5[c % 5]
+
+    def decide(d: int, delta: int, root: int) -> RepDecision:
+        obstructed = first[at16[d % 16] | at9[d % 9] | at5[d % 5]]
+        if obstructed is not None:
+            return obstructed
+        if gcd(delta, _NONRESIDUE_PRODUCT) > 1 or (delta % 3 == 0 and c % 3 != 2):
+            return _NONE_PROVED
+        return _unit_walk((3, d, c), -1, delta, root)
+    return decide

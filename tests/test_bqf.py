@@ -697,7 +697,7 @@ def test_half_walk_of_the_target_cycle_decides_as_represents():
         k = next((k for k in range(L // 2) if forms[k] in (f_red, f_red[::-1])), None)
         if k is None:
             exits["edge"] += 1
-            dec, steps = _walked(bqf._decide_unit, form, -1, D, root)
+            dec, steps = _walked(bqf._unit_walk, form, -1, D, root)
             assert (dec, steps) == (RepDecision.none_proved(), L // 2), form
         else:
             exits["t0" if k == 0 else "f_red" if forms[k] == f_red else "tau"] += 1

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3cert import certify
 from k3cert.bqf import DecisionStatus, QuadraticForm, integer_sqrt, represents
 from k3cert.certify import (
     CONCLUSION_APPLIES,
@@ -94,6 +93,11 @@ def test_gap_examples():
     assert gap_lower_bound(12, -1) == Fraction(1, 2)
     for g in range(12, 200, 2):
         assert gap_lower_bound(g, -1) == Fraction(1, 2)
+    # a certificate's halves are Fractions
+    for cert in (build_certificate(19, 1), build_certificate(20, 2), build_certificate(12, -1)):
+        assert type(cert.gamma_E) is Fraction and type(cert.gap_lower_bound) is Fraction
+        assert cert.gamma_E == Fraction(cert.d - 4, 2)
+        assert cert.gap_lower_bound == gap_lower_bound(cert.g, cert.s)
 
 
 @given(st.integers(4, 1000), st.integers(-1, 100))
@@ -108,23 +112,6 @@ def test_gap_constant_per_parity():
         odds = {gap_lower_bound(g, s) for g in range(21, 200, 2)}
         assert evens == {Fraction(s + 2, 2)}
         assert odds == {Fraction(s + 3, 2)}
-
-
-def test_halves_come_from_a_bounded_memo():
-    # gamma_E and the gap are memoised halves; the memo holds no more than
-    # its bound over more distinct halves than that
-    info = certify._half.cache_info()
-    assert info.maxsize is not None
-    for n in range(-info.maxsize, info.maxsize + 1):
-        assert certify._half(n) == Fraction(n, 2)
-    assert certify._half.cache_info().currsize == info.maxsize
-    # cells of one d share one gamma_E object, and the fields stay Fractions
-    first, second = build_certificate(19, 1), build_certificate(20, 2)
-    assert first.gamma_E is second.gamma_E
-    for cert in (first, second, build_certificate(12, -1)):
-        assert type(cert.gamma_E) is Fraction and type(cert.gap_lower_bound) is Fraction
-        assert cert.gamma_E == Fraction(cert.d - 4, 2)
-        assert cert.gap_lower_bound == gap_lower_bound(cert.g, cert.s)
 
 
 # -- certificates ----------------------------------------------------------------

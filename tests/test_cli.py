@@ -398,11 +398,11 @@ def test_scan_path_decides_as_represents():
     statuses = set()
     for g, s in DECISION_CELLS:
         cert = build_certificate(g, s)
-        row, twice_gap = cli._scan_cell(g, s)
+        (row,), twice_gap = cli._scan_genus(g, s, s)
         assert row == scan_row(cert) and twice_gap == 2 * cert.gap_lower_bound, (g, s)
         if cert.minus_two is not None:
             cfg = K3Config(g, s)
-            dec = lattice._minus_two_decision(cfg.d, g, cfg.delta, cfg.root)
+            dec = lattice._minus_two_genus(g)(cfg.d, cfg.delta, cfg.root)
             assert (dec.status, dec.modulus) == (cert.minus_two.status, cert.minus_two.modulus)
             statuses.add(dec.status)
     assert statuses == set(DecisionStatus)
@@ -456,8 +456,7 @@ def test_scan_rows_past_the_switch(monkeypatch):
     # giant strides, whose decision alone a row keeps: every row is that of
     # the certificate, built with the switch where it was, and the strides
     # settle hits and closed cycles without handing back to the walk
-    cells = [(g, s) for g in range(12, 400) for s in range(-1, 11)]
-    expected = [scan_row(build_certificate(g, s)) for g, s in cells]
+    expected = [scan_row(build_certificate(g, s)) for g in range(12, 400) for s in range(-1, 11)]
     giant, cycle_hit = bqf._giant, bqf._cycle_hit
     walks, strided = [], []
 
@@ -470,7 +469,7 @@ def test_scan_rows_past_the_switch(monkeypatch):
     monkeypatch.setattr(bqf, "_giant", logged)
     monkeypatch.setattr(bqf, "_cycle_hit", lambda *args: walks.append(args) or cycle_hit(*args))
     monkeypatch.setattr(bqf, "_SWITCH", 16)
-    assert [cli._scan_cell(g, s)[0] for g, s in cells] == expected
+    assert [row for g in range(12, 400) for row in cli._scan_genus(g, -1, 10)[0]] == expected
     assert strided.count(False) > 300 and strided.count(True) > 40
 
 
@@ -488,9 +487,9 @@ def test_scan_csv_file_output(tmp_path, capsys):
 
 
 def test_scan_out_unwritable_exits_two_before_any_cell(tmp_path, monkeypatch, capsys):
-    def fail(g, s):
+    def fail(g, s_min, s_max):
         raise AssertionError("a cell was computed")
-    monkeypatch.setattr(cli, "_scan_cell", fail)
+    monkeypatch.setattr(cli, "_scan_genus", fail)
     out = tmp_path / "missing" / "rows.csv"
     assert main(["scan", "--g-min", "12", "--g-max", "13", "--s-min", "-1", "--s-max", "0",
                  "--out", str(out)]) == 2
@@ -501,9 +500,9 @@ def test_scan_out_unwritable_exits_two_before_any_cell(tmp_path, monkeypatch, ca
 
 
 def test_failed_scan_leaves_the_out_file_as_it_was(tmp_path, monkeypatch, capsys):
-    def fail(g, s):
+    def fail(g, s_min, s_max):
         raise RuntimeError("internal error: a cell failed")
-    monkeypatch.setattr(cli, "_scan_cell", fail)
+    monkeypatch.setattr(cli, "_scan_genus", fail)
     out = tmp_path / "rows.csv"
     out.write_bytes(b"g,s\n12,-1\n")
     with pytest.raises(RuntimeError, match="a cell failed"):

@@ -1,10 +1,14 @@
+import subprocess
+import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from k3cert import bqf, lattice
 from k3cert.bqf import DecisionStatus
 from k3cert.lattice import (
     C,
@@ -136,3 +140,58 @@ def test_minus_two_witness_cases():
         assert dec.status is DecisionStatus.WITNESS, (g, s, dec)
         m, n = dec.witness
         assert pair(cfg, DivisorClass(m, n), DivisorClass(m, n)) == -2
+
+
+def test_scan_residue_screen_is_the_residue_scan(monkeypatch):
+    # the per-genus decision's three lookups give _obstruction((3, d, c), -1)
+    # on every (d, c) mod 16, 9 and 5, and past them the decision goes on
+    walked = object()
+    monkeypatch.setattr(lattice, "_unit_walk", lambda *args: walked)
+    for c in range(720):
+        decide = lattice._minus_two_genus(c + 1)
+        for d in range(720):
+            k = bqf._obstruction((3, d, c), -1)
+            dec = decide(d, d * d - 12 * c, 0)
+            if k is None:
+                assert dec is walked or dec is bqf._NONE_PROVED, (d, c)
+            else:
+                assert dec == bqf.RepDecision.obstructed(k), (d, c)
+
+
+def test_scan_genus_screen_is_the_genus_characters(monkeypatch):
+    # with the residue screen off, the per-genus decision is NoneProved
+    # without a walk exactly where a genus character at an odd prime p < 1000
+    # fails; the cells include every class of g - 1 mod 3 with 3 | Delta,
+    # Delta divisible by 983 = 2 (mod 3), and Delta whose odd prime factors
+    # below 1000 are 997 and others = 1 (mod 3)
+    walked = object()
+    monkeypatch.setattr(lattice, "_unit_walk", lambda *args: walked)
+    monkeypatch.setattr(lattice, "_residue_masks", lambda: (
+        [[0] * 16] * 16, [[0] * 9] * 9, [[0] * 5] * 5, [None] * 64))
+    ones = prod(p for p in bqf._GENUS_PRIMES if p % 3 == 1)
+    seen = Counter()
+    for g in range(12, 3001):
+        decide = lattice._minus_two_genus(g)
+        for s in range(-1, 41):
+            d = g - s
+            delta = d * d - 12 * (g - 1)
+            root = isqrt(delta) if delta > 0 else 0
+            if delta <= 0 or root * root == delta:
+                continue
+            obstructed = bqf._genus_obstructed((3, d, g - 1), -1, delta)
+            assert decide(d, delta, root) is (bqf._NONE_PROVED if obstructed else walked), (g, s)
+            seen[f"3 | Delta, g - 1 = {(g - 1) % 3} (mod 3)"] += delta % 3 == 0
+            seen["983 | Delta"] += delta % 983 == 0
+            seen["997 | Delta, others = 1 (mod 3)"] += (
+                delta % 997 == 0 and gcd(delta, bqf._GENUS_PRODUCT) == gcd(delta, ones))
+    assert len(seen) == 5 and all(seen.values()), seen
+
+
+def test_cli_import_builds_no_residue_table():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import k3cert.cli, k3cert.lattice as lattice; "
+         "print(lattice._residue_masks.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
