@@ -27,7 +27,7 @@ the decision and assembles the witness from it.
 
 A scan row shows only the decision's method, and its form family and
 target -1 are fixed, so it takes the residue scan and genus characters
-specialised to them (k3cert.lattice) and then _decide_unit's walk alone
+specialised to them (k3cert.lattice) and then the walk past _screen alone
 (_unit_walk), on half of the target's cycle instead of f's.  Every
 (t, B, C) with B = D (mod 2) is a translate of t0 = (t, b, c0), b the one
 of root - 1 and root that has the parity of D.  t0 is reduced, and
@@ -871,16 +871,13 @@ def _decide(form: _Form, t: int, D: int, root: int) -> RepDecision | _Hit:
     return _Hit(f_red, m_f, targets[hit], hit, path)
 
 
-def _decide_unit(form: _Form, t: int, D: int, root: int) -> RepDecision:
-    """_decide's status and modulus for |t| = 1, on half of the target's
-    cycle (see the module docstring), with no witness; a decision is truthy."""
-    return _screen(form, t, D, root) or _unit_walk(form, t, D, root)
-
-
 def _unit_walk(form: _Form, t: int, D: int, root: int) -> RepDecision:
-    """_decide_unit's decision past _screen: the walk of t0's cycle for f_red
-    or tau(f_red) up to its middle edge, _cycle_hit's walk recording nothing,
-    finished past _SWITCH steps by _giant with f_red and tau(f_red)."""
+    """_decide's status and modulus for |t| = 1 past _screen, on half of the
+    target's cycle (see the module docstring), with no witness: the walk of
+    t0's cycle for f_red or tau(f_red) up to its middle edge, _cycle_hit's
+    walk recording nothing, finished past _SWITCH steps by _giant with f_red
+    and tau(f_red).  A decision is truthy, so _screen(...) or _unit_walk(...)
+    is the whole decision."""
     f_red, _ = _reduce(form, D, root)
     a_f, b_f, c_f = f_red
     targets = f_red, (c_f, b_f, a_f)
@@ -929,11 +926,12 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     the same first target, or give the same proof.
 
     All of that is the decision (_decide); a scan row takes a shorter one,
-    on half of the target's cycle (_decide_unit).  represents, behind
-    `check` and `form`, goes on to assemble the witness of a hit: the walk's
-    shears applied to a vector (_apply), or after strides their signs
-    (_signed_strides) and the product of the strides (_column).  The
-    witness is re-checked exactly before it is returned.
+    its screens specialised and then the walk on half of the target's
+    cycle (_unit_walk).  represents, behind `check` and `form`, goes on to
+    assemble the witness of a hit: the walk's shears applied to a vector
+    (_apply), or after strides their signs (_signed_strides) and the
+    product of the strides (_column).  The witness is re-checked exactly
+    before it is returned.
     """
     if t == 0:
         raise ValueError("target 0 is decided by zero_witness")

@@ -23,12 +23,12 @@ payloads stay machine-parseable.  A scan runs in one process; scans over
 consecutive disjoint g-ranges concatenate in range order to one scan over
 their union.
 
-Each call of ``main`` builds its parser anew, with no cache.  It builds the
-top level and the three subcommand entries, which are all that the
-top-level help, usage and errors show, but gives arguments only to the
-subcommand it parses: the first of its arguments that names one
-(build_parser).  So it prints the help, usage and errors of the full
-parser, ``build_parser()``.
+Each call of ``main`` builds its parser anew, with no cache, and builds at
+most two ArgumentParsers: the top level's and that of the subcommand it
+parses, the first of its arguments that names one (build_parser).  The other entries
+keep only their name and help line, which are all that the top-level help,
+usage and errors read of them, and hold no parser.  So it prints the help,
+usage and errors of the full parser, ``build_parser()``.
 """
 
 from __future__ import annotations
@@ -346,12 +346,13 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The k3cert parser: the top level and one entry per subcommand,
-    which are all that the top-level help, usage and errors show.  With
-    `command` None every subcommand gets its arguments, its -h and its
-    function; otherwise only the one named `command`, if any, does, since
-    a call parses one subcommand (main) and building the other two's
-    arguments costs about a quarter of a ``check`` call."""
+    """The k3cert parser: the top level and one entry per subcommand, whose
+    name and help line are all that the top-level help, usage and errors
+    read.  With `command` None every entry is a parser, with its arguments,
+    its -h and its function; otherwise only the one named `command`, if
+    any, is, and the others hold None, since a call parses one subcommand
+    (main).  A ``check`` call so builds two ArgumentParsers, not four, and
+    each built parser costs argparse two or three gettext lookups."""
     import shutil
 
     # argparse builds a HelpFormatter, which asks for the terminal size, for
@@ -362,12 +363,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="k3cert", formatter_class=formatter,
         description="Exact certificates for curve/bundle numerics on K3-hosted curves.")
-    # prog given, which argparse otherwise takes from a formatted usage line
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    # prog given, which argparse otherwise takes from a formatted usage line;
+    # add_parser hands `built` and its other keywords to parser_class
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog=parser.prog,
+        parser_class=lambda built, **kwargs: argparse.ArgumentParser(**kwargs) if built else None)
     for name, (text, add_arguments, func) in _COMMANDS.items():
-        built = command is None or command == name
-        subparser = sub.add_parser(name, formatter_class=formatter, help=text, add_help=built)
-        if built:
+        subparser = sub.add_parser(name, formatter_class=formatter, help=text,
+                                   built=command is None or command == name)
+        if subparser is not None:
             add_arguments(subparser)
             subparser.set_defaults(func=func)
     return parser

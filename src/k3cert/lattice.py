@@ -114,12 +114,13 @@ _NONRESIDUE_PRODUCT = prod(p for p in _GENUS_PRIMES if p % 3 == 2)
 
 def _minus_two_genus(g: int) -> Callable[[int, int, int], RepDecision]:
     """The (-2) decision of the scan rows of genus g, a function of d, delta
-    = d^2 - 12(g-1) > 0 nonsquare and its isqrt: _decide_unit on (3, d, g-1)
-    at -1, so minus_two_status with no witness, its screen specialised to
-    the form and set up once per g.  The residue scan is three lookups, and
-    the genus characters one gcd: at a prime p > 3 dividing delta, 12Q =
-    (6m + dn)^2 - delta n^2 makes Q = -1 need -3 to be a square mod p, which
-    it is not for p = 2 (mod 3); at p = 3, Q = (g-1)n^2 (mod 3)."""
+    = d^2 - 12(g-1) > 0 nonsquare and its isqrt: bqf._screen, then
+    bqf._unit_walk, on (3, d, g-1) at -1, so minus_two_status with no
+    witness, the screen specialised to the form and set up once per g.
+    The residue scan is three lookups, and the genus characters one gcd:
+    at a prime p > 3 dividing delta, 12Q = (6m + dn)^2 - delta n^2 makes
+    Q = -1 need -3 to be a square mod p, which it is not for p = 2 (mod 3);
+    at p = 3, Q = (g-1)n^2 (mod 3)."""
     c = g - 1
     by16, by9, by5, first = _residue_masks()
     at16, at9, at5 = by16[c % 16], by9[c % 9], by5[c % 5]

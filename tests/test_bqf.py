@@ -702,7 +702,7 @@ def test_half_walk_of_the_target_cycle_decides_as_represents():
         else:
             exits["t0" if k == 0 else "f_red" if forms[k] == f_red else "tau"] += 1
             exits["last"] += k == L // 2 - 1
-            dec = bqf._decide_unit(form, -1, D, root)
+            dec = bqf._screen(form, -1, D, root) or bqf._unit_walk(form, -1, D, root)
             assert dec == RepDecision(DecisionStatus.WITNESS), form
         assert dec.status is represents(QuadraticForm(*form), -1).status, form
     assert exits.keys() == {"t0", "f_red", "tau", "edge", "last"} and min(exits.values()) > 0
@@ -728,7 +728,8 @@ def test_half_walk_decides_as_represents_on_small_forms(monkeypatch, switch):
         monkeypatch.setattr(bqf, "_giant", logged)
         monkeypatch.setattr(bqf, "_SWITCH", switch)
         monkeypatch.setattr(bqf, "_window_size", lambda D: switch)
-    decided = [bqf._decide_unit(form, t, D, isqrt(D)) for form, D, t in queries]
+    decided = [bqf._screen(form, t, D, isqrt(D)) or bqf._unit_walk(form, t, D, isqrt(D))
+               for form, D, t in queries]
     assert [(d.status, d.modulus) for d in decided] == [(e.status, e.modulus) for e in expected]
     assert {d.status for d in decided} == set(DecisionStatus)
     assert all(d.witness is None for d in decided)

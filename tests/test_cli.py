@@ -188,7 +188,10 @@ def test_help_text_matches_the_stock_formatter(monkeypatch, capsys, columns, arg
 LAZY_ARGV = [case[0] for case in HELP_AND_ERRORS] + [
     ["scan"], ["form", "--a", "1"], ["check", "--g", "19", "--s", "1", "scan"],
     # an unknown option before the subcommand: check's own error
-    ["-x", "check"]]
+    ["-x", "check"],
+    # a subcommand's name where argparse does not parse it: after "--", and
+    # as the value of another subcommand's option
+    ["--", "check", "--g", "19", "--s", "1"], ["form", "--a", "1", "--b", "scan"]]
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
@@ -208,14 +211,21 @@ def test_lazy_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, col
 
 @pytest.mark.parametrize("via", ["argv", "sys.argv"])
 def test_a_check_call_builds_no_other_subcommand(monkeypatch, capsys, via):
-    # neither an argument nor -h goes to the scan and form subparsers
-    progs = []
-    add_argument = argparse.ArgumentParser.add_argument
+    # neither an argument nor -h goes to the scan and form subparsers, and a
+    # call constructs two ArgumentParsers, the top level's and its command's;
+    # the parser with every subcommand constructs four
+    progs, built = [], []
+    add_argument, init = argparse.ArgumentParser.add_argument, argparse.ArgumentParser.__init__
 
     def spy(parser, *args, **kwargs):
         progs.append(parser.prog)
         return add_argument(parser, *args, **kwargs)
+
+    def init_spy(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        built.append(parser.prog)
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init_spy)
     argv = ["check", "--g", "19", "--s", "1"]
     if via == "sys.argv":
         monkeypatch.setattr(sys, "argv", ["k3cert", *argv])
@@ -224,6 +234,16 @@ def test_a_check_call_builds_no_other_subcommand(monkeypatch, capsys, via):
         assert main(argv) == 0
     assert "k3cert check" in progs
     assert not {"k3cert scan", "k3cert form"} & set(progs)
+    assert built == ["k3cert", "k3cert check"]
+    calls = {"scan": ["scan", "--g-min", "12", "--g-max", "12", "--s-min", "-1", "--s-max", "0"],
+             "form": ["form", "--a", "3", "--b", "12", "--c", "12", "--target", "-1"]}
+    for command, command_argv in calls.items():
+        built.clear()
+        assert main(command_argv) == 0
+        assert built == ["k3cert", f"k3cert {command}"]
+    built.clear()
+    cli.build_parser()
+    assert built == ["k3cert", "k3cert check", "k3cert scan", "k3cert form"]
 
 
 def test_check_out_of_domain_genus(capsys):
