@@ -19,11 +19,10 @@ kept that a concrete witness can be read off and re-verified before it is
 returned.  For |t| in {1, 2} every representation is automatically
 primitive, which is what makes the decision complete.
 
-The decision and the witness are two stages.  The decision (_decide)
-stops where the answer is known: at an obstruction, at a closed cycle, or
-at the first target met, which it returns with the quotients or strides
-that reach it and no witness.  represents, behind `check` and `form`, takes
-the decision and assembles the witness from it.
+represents, behind `check` and `form`, stops where the answer is known: at
+an obstruction, at a closed cycle, or at the first target met, and only a
+hit goes on to assemble a witness, from the quotients or strides that
+reach the target.
 
 A scan row shows only the decision's method, and its form family and
 target -1 are fixed, so it takes the residue scan and genus characters
@@ -202,7 +201,8 @@ def modular_obstruction(f: QuadraticForm, t: int) -> int | None:
     Exhausts all residue pairs, so a returned modulus is a sound proof that
     t is not represented over the integers.  The answer for one k depends
     only on the coefficients and t mod k, so it is memoised on those
-    residues; the tables of a scan's (-2) screen read 451 of them.
+    residues; the tables of a scan's (-2) screen read 98 of them, at k = 3,
+    5 and 8.
     """
     return _obstruction((f.a, f.b, f.c), t)
 
@@ -455,10 +455,10 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 # A stride's transform is the walk's only up to sign, and the walk's sign
 # depends on its number of steps mod 4, which no form shows.  So the
 # assembly counts the steps to the target by a cycle walk from where the walk
-# stopped, with no product and no quotients kept (_steps_to), and fixes the
-# sign of the product of the strides from that count (_signed_strides).  For
-# a target with a | b the count mirrors as the walk does, jumping to
-# tau(f_red) at step 2e + 1 (_count_to).
+# stopped, with no product and no quotients kept, which mirrors as the walk
+# does where the target has a | b, jumping to tau(f_red) at step 2e + 1
+# (_count_to), and fixes the sign of the product of the strides from that
+# count (_signed_strides).
 #
 # The walk hands over after at least _SWITCH - 1 steps, more where it
 # mirrored.  Windows are capped at _SWITCH steps, so past g ~ 10^6, where
@@ -652,7 +652,7 @@ def _giant(f_red: _Form, end: _Form, walked: int, targets: Collection[_Form],
 
 def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
                     landing: _Form, j: int, g: _Form, shears: list[int],
-                    root: int) -> tuple[_Form, list[_Node]]:
+                    root: int) -> list[_Node]:
     """The walk's transform from f_red to g, the first target on its cycle,
     which the last of `strides` from f_red passed to land j steps after it;
     the walk reached `end` after `walked` steps.
@@ -665,11 +665,8 @@ def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
     for the first node too, the walk's own transform to the start of the
     strides: |lambda| < 1 <= |r| < |r|sqrt(D)/|a| for a reduced form.  So only
     the number of steps from f_red to g is needed: `walked` and those of the
-    walk from `end` to g, mirrored (_count_to) when g has a | b."""
-    if _mirrors((g,)):
-        steps = _count_to(f_red, walked, end, g, root)
-    else:
-        steps = walked + _steps_to(end, g, root)
+    walk from `end` to g (_count_to)."""
+    steps = _count_to(f_red, walked, end, g, root)
     M = _product(shears[:j])
     sign = _walk_sign(g[0], j)
     for k, (start, p, r) in enumerate(strides):
@@ -678,75 +675,52 @@ def _signed_strides(f_red: _Form, walked: int, end: _Form, strides: list[_Node],
     if sign != _walk_sign(f_red[0], steps):
         start, p, r = strides[0]
         strides[0] = (start, -p, -r)
-    return g, [*strides, (landing, M[3], -M[2])]  # the first column of inverse(M)
+    return [*strides, (landing, M[3], -M[2])]  # the first column of inverse(M)
 
 
 def _count_to(f_red: _Form, walked: int, end: _Form, g: _Form, root: int) -> int:
-    """The number of steps of rho from f_red to g, a reduced form (a, b, c)
-    with a | b on its cycle, which the walk reached `end` after `walked` steps
-    from f_red without meeting.
+    """The number of steps of rho from f_red to g, a reduced form on its
+    cycle, which the walk reached `end` after `walked` steps from f_red
+    without meeting.
 
-    g follows an edge (see _cycle_hit), so the walk from `end` records
-    nothing and looks for g only after an edge.  At the first edge it
-    meets, at step e, it goes on from tau(f_red) at step 2e + 1.  Where the
-    walk to `end` had passed the cycle's first edge, this is the second,
-    which g follows; else g follows it or the next edge.  tau(f_red) is 2e + 1
-    steps from f_red, up to whole cycles, at either edge, so a miss at both
-    edges met, or a walk back at `end`, puts g off the cycle."""
+    The walk from `end` records nothing and compares the form with g at
+    each step whose b is g's.  Where g has a | b it follows an edge (see
+    _cycle_hit), and at the first edge the walk meets, at step e, it goes on
+    from tau(f_red) at step 2e + 1.  Where the walk to `end` had passed the
+    cycle's first edge, this is the second, which g follows; else g follows
+    it or the next edge.  tau(f_red) is 2e + 1 steps from f_red, up to whole
+    cycles, at either edge, so a miss at both edges met, or a walk back at
+    `end`, puts g off the cycle."""
     a0, b0, c0 = end
     sign = 1 if a0 > 0 else -1
     A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
     a_f, b_f, c_f = f_red
+    b_g = g[1]
+    mirror = _mirrors((g,))
     tau = (-1 if a_f > 0 else 1), 2 * abs(c_f), b_f, 2 * abs(a_f)  # None once there
     n = walked
     for _ in repeat(None, min(_cycle_bound(root) // 2 + 1, maxsize)):
         q = (root + b) // C
         b1 = C * q - b
-        if b1 == b:  # an edge at step n, to (c, b, a)
-            if (-sign * (C >> 1), b, sign * (A >> 1)) == g:
-                return n + 1
+        A -= q * (b1 - b)
+        if b1 == b_g and (-sign * (C >> 1), b1, sign * (A >> 1)) == g:
+            return n + 1
+        if b1 == b and mirror:  # an edge at step n, to (c, b, a)
             if tau is None:
                 break
             n, (sign, A, b, C), tau = 2 * n + 1, tau, None
             continue
-        A -= q * (b1 - b)
-        q = (root + b1) // A
-        b = A * q - b1
-        if b == b1:  # an edge at step n + 1
-            if (sign * (A >> 1), b, -sign * (C >> 1)) == g:
-                return n + 2
-            if tau is None:
-                break
-            n, (sign, A, b, C), tau = 2 * n + 3, tau, None
-            continue
-        C -= q * (b - b1)
-        n += 2
-        if b == b0 and (sign * (A >> 1), b, -sign * (C >> 1)) == end:
-            break
-    raise RuntimeError("internal error: the counting walk closed without meeting the target")
-
-
-def _steps_to(end: _Form, g: _Form, root: int) -> int:
-    """The number of steps of rho from `end` to g, a reduced form on its
-    cycle other than `end`: the walk of _cycle_hit without mirroring,
-    counted, with no quotient kept.  Only a target without a | b takes it,
-    so only `form` queries with |t| = 2 and b odd."""
-    a0, b0, c0 = end
-    sign = 1 if a0 > 0 else -1
-    A, b, C = 2 * abs(a0), b0, 2 * abs(c0)
-    b_g = g[1]
-    # two steps per pass; a cycle has fewer than _cycle_bound forms
-    for n in range(0, _cycle_bound(root) + 1, 2):
-        q = (root + b) // C
-        b1 = C * q - b
-        A -= q * (b1 - b)
-        if b1 == b_g and (-sign * (C >> 1), b1, sign * (A >> 1)) == g:
-            return n + 1
         q = (root + b1) // A
         b = A * q - b1
         C -= q * (b - b1)
         if b == b_g and (sign * (A >> 1), b, -sign * (C >> 1)) == g:
             return n + 2
+        if b == b1 and mirror:  # an edge at step n + 1
+            if tau is None:
+                break
+            n, (sign, A, b, C), tau = 2 * n + 3, tau, None
+            continue
+        n += 2
         if b == b0 and (sign * (A >> 1), b, -sign * (C >> 1)) == end:
             break
     raise RuntimeError("internal error: the counting walk closed without meeting the target")
@@ -808,20 +782,6 @@ def _genus_obstructed(form: _Form, t: int, D: int) -> bool:
     return common > 1 and _character_fails(form, t, common)
 
 
-class _Hit(NamedTuple):
-    """The decision that t is represented, before its witness is assembled:
-    the reduced f_red and the transform m_f to it from f, the first column
-    `col` of the inverse of the reduction of the target `hit`, and `path`,
-    how the walk from f_red reached it: its quotients, or the strides
-    (_giant).  represents assembles the witness from them."""
-
-    f_red: _Form
-    m_f: _Mat
-    col: tuple[int, int]
-    hit: _Form
-    path: list[int] | _Strided
-
-
 def _screen(form: _Form, t: int, D: int, root: int) -> RepDecision | None:
     """The decision for the form (a, b, c) where no cycle is walked, else
     None: the residue scan's obstruction, or a genus character's proof that
@@ -842,39 +802,10 @@ def _screen(form: _Form, t: int, D: int, root: int) -> RepDecision | None:
     return None
 
 
-def _decide(form: _Form, t: int, D: int, root: int) -> RepDecision | _Hit:
-    """The decision of represents: _screen's, else a walk of the cycle of
-    f_red that proves t not represented, or the target met (_Hit), with no
-    witness."""
-    screened = _screen(form, t, D, root)
-    if screened is not None:
-        return screened
-    f_red, m_f = _reduce(form, D, root)
-    # each reduced target, with the first column of the inverse of its
-    # reduction's transform
-    targets: dict[_Form, tuple[int, int]] = {}
-    four_t = 4 * t
-    for B in range(2 * abs(t)):
-        if (B * B - D) % four_t == 0:
-            C = (B * B - D) // four_t
-            g_red, (_, _, r, s) = _reduce((t, B, C), D, root)
-            targets.setdefault(g_red, (s, -r))
-    found = _cycle_hit(f_red, targets, root, _SWITCH) if targets else None
-    if found is not None and found[0] not in targets:
-        end, head = found
-        found = _giant(f_red, end, len(head), targets, D, root)
-        if found is not None and type(found[1]) is list:  # walked on from `end`
-            found = found[0], head + found[1]
-    if found is None:
-        return _NONE_PROVED
-    hit, path = found
-    return _Hit(f_red, m_f, targets[hit], hit, path)
-
-
 def _unit_walk(form: _Form, t: int, D: int, root: int) -> RepDecision:
-    """_decide's status and modulus for |t| = 1 past _screen, on half of the
-    target's cycle (see the module docstring), with no witness: the walk of
-    t0's cycle for f_red or tau(f_red) up to its middle edge, _cycle_hit's
+    """represents' status and modulus for |t| = 1 past _screen, on half of
+    the target's cycle (see the module docstring), with no witness: the walk
+    of t0's cycle for f_red or tau(f_red) up to its middle edge, _cycle_hit's
     walk recording nothing, finished past _SWITCH steps by _giant with f_red
     and tau(f_red).  A decision is truthy, so _screen(...) or _unit_walk(...)
     is the whole decision."""
@@ -925,13 +856,12 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     after _SWITCH steps is finished by giant strides (_giant), which meet
     the same first target, or give the same proof.
 
-    All of that is the decision (_decide); a scan row takes a shorter one,
-    its screens specialised and then the walk on half of the target's
-    cycle (_unit_walk).  represents, behind `check` and `form`, goes on to
-    assemble the witness of a hit: the walk's shears applied to a vector
-    (_apply), or after strides their signs (_signed_strides) and the
-    product of the strides (_column).  The witness is re-checked exactly
-    before it is returned.
+    A scan row takes a shorter decision with no witness, its screens
+    specialised and then the walk on half of the target's cycle
+    (_unit_walk).  represents goes on to assemble the witness of a hit: the
+    walk's shears applied to a vector (_apply), or after strides their
+    signs (_signed_strides) and the product of the strides (_column).  The
+    witness is re-checked exactly before it is returned.
     """
     if t == 0:
         raise ValueError("target 0 is decided by zero_witness")
@@ -940,18 +870,36 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     D = f.discriminant()
     root = isqrt(D) if D > 0 else 0
     form = (f.a, f.b, f.c)
-    found = _decide(form, t, D, root)
-    if type(found) is not _Hit:
-        return found
-    f_red, m_f, col, hit, path = found
+    screened = _screen(form, t, D, root)
+    if screened is not None:
+        return screened
+    f_red, m_f = _reduce(form, D, root)
+    # each reduced target, with the first column of the inverse of its
+    # reduction's transform
+    targets: dict[_Form, tuple[int, int]] = {}
+    four_t = 4 * t
+    for B in range(2 * abs(t)):
+        if (B * B - D) % four_t == 0:
+            C = (B * B - D) // four_t
+            g_red, (_, _, r, s) = _reduce((t, B, C), D, root)
+            targets.setdefault(g_red, (s, -r))
+    found = _cycle_hit(f_red, targets, root, _SWITCH) if targets else None
+    if found is not None and found[0] not in targets:
+        end, head = found
+        found = _giant(f_red, end, len(head), targets, D, root)
+        if found is not None and type(found[1]) is list:  # walked on from `end`
+            found = found[0], head + found[1]
+    if found is None:
+        return _NONE_PROVED
+    hit, path = found
     if type(path) is list:
         # the first column of m_f * m_cycle * inverse(m_g)
-        x, y = _apply(_signed(path, f_red[0]), col)
+        x, y = _apply(_signed(path, f_red[0]), targets[hit])
         p, q, r, s = m_f
         m, n = p * x + q * y, r * x + s * y
     else:
-        hit, nodes = _signed_strides(f_red, *path, root)
-        m, n = _column([(form, m_f[0], m_f[2]), *nodes, (hit, *col)], D)
+        nodes = _signed_strides(f_red, *path, root)
+        m, n = _column([(form, m_f[0], m_f[2]), *nodes, (hit, *targets[hit])], D)
     # 4a*Q(m, n) = (2am + bn)^2 - D*n^2, and a != 0 since D is not a square
     a = f.a
     if (2 * a * m + f.b * n) ** 2 - D * (n * n) != 4 * a * t:

@@ -12,8 +12,8 @@ from functools import cache
 from math import gcd, isqrt, prod
 from typing import Callable
 
-from .bqf import (_GENUS_PRIMES, _NONE_PROVED, _OBSTRUCTED, DEFAULT_MODULI, QuadraticForm,
-                  RepDecision, _residue_hit, _unit_walk, represents)
+from .bqf import (_GENUS_PRIMES, _NONE_PROVED, _OBSTRUCTED, QuadraticForm, RepDecision,
+                  _residue_hit, _unit_walk, represents)
 
 
 @dataclass(frozen=True)
@@ -96,17 +96,15 @@ def minus_two_status(cfg: K3Config) -> RepDecision:
 
 
 @cache
-def _residue_masks() -> tuple[tuple, ...]:
+def _residue_tables() -> tuple[tuple[tuple[RepDecision | None, ...], ...], ...]:
     """The residue scan of (3, d, c) at -1 as tables, built from _residue_hit
-    on first use: for n = 16, 9 and 5, by [c % n][d % n], the bitmask of the
-    k | n in DEFAULT_MODULI that obstruct, bit i for DEFAULT_MODULI[i]; and
-    by the OR of the three masks, _obstruction((3, d, c), -1)'s decision."""
-    tables = [tuple(tuple(sum(1 << i for i, k in enumerate(DEFAULT_MODULI) if n % k == 0
-                              and not _residue_hit(k, 3 % k, d % k, c % k, -1 % k))
-                          for d in range(n)) for c in range(n)) for n in (16, 9, 5)]
-    first = tuple(next((_OBSTRUCTED[k] for i, k in enumerate(DEFAULT_MODULI) if mask >> i & 1),
-                       None) for mask in range(1 << len(DEFAULT_MODULI)))
-    return *tables, first
+    on first use: for k = 3, 5 and 8, by [c % k][d % k], ObstructedMod(k)
+    where k obstructs, else None.  Over every (d, c) mod 720 the first
+    modulus of DEFAULT_MODULI to obstruct is 3, 5, 8 or none, never 4, 9 or
+    16, so the first of the three decisions that is not None is
+    _obstruction((3, d, c), -1)'s."""
+    return tuple(tuple(tuple(None if _residue_hit(k, 3 % k, d, c, k - 1) else _OBSTRUCTED[k]
+                             for d in range(k)) for c in range(k)) for k in (3, 5, 8))
 
 
 _NONRESIDUE_PRODUCT = prod(p for p in _GENUS_PRIMES if p % 3 == 2)
@@ -122,11 +120,11 @@ def _minus_two_genus(g: int) -> Callable[[int, int, int], RepDecision]:
     Q = -1 need -3 to be a square mod p, which it is not for p = 2 (mod 3);
     at p = 3, Q = (g-1)n^2 (mod 3)."""
     c = g - 1
-    by16, by9, by5, first = _residue_masks()
-    at16, at9, at5 = by16[c % 16], by9[c % 9], by5[c % 5]
+    by3, by5, by8 = _residue_tables()
+    at3, at5, at8 = by3[c % 3], by5[c % 5], by8[c % 8]
 
     def decide(d: int, delta: int, root: int) -> RepDecision:
-        obstructed = first[at16[d % 16] | at9[d % 9] | at5[d % 5]]
+        obstructed = at3[d % 3] or at5[d % 5] or at8[d % 8]
         if obstructed is not None:
             return obstructed
         if gcd(delta, _NONRESIDUE_PRODUCT) > 1 or (delta % 3 == 0 and c % 3 != 2):

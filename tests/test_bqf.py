@@ -736,10 +736,36 @@ def test_half_walk_decides_as_represents_on_small_forms(monkeypatch, switch):
     assert switch is None or min(hits[-1], hits[1]) > 100
 
 
-@pytest.mark.parametrize("cell", [(19, 2), (7393, 2), (13907, 6), (25381, 3)])
+@pytest.mark.parametrize("cell", [(19, 2), (7393, 2), (13907, 6), (25381, 3),
+                                  pytest.param(None, id="edgeless")])
 def test_counting_walk_matches_plain_rho_walk(cell):
-    # the count from any point of the walk: before the first edge it jumps
-    # to tau(f_red), past it it walks on to the target
+    # the count of steps to a target against a plain rho walk.  On the (-2)
+    # cells every target has a | b, and the count from any point of the walk
+    # mirrors: before the first edge it jumps to tau(f_red), past it it walks
+    # on to the target.  "edgeless": targets with a not dividing b, as
+    # (t, B, C) at |t| = 2 with B odd, counted from the reduced start of small
+    # forms, where a target off the cycle is an internal error
+    if cell is None:
+        met = missed = 0
+        for form, D in _small_indefinite_forms():
+            if abs(form[0]) > 6 or abs(form[2]) > 6:
+                continue
+            for t in (-2, 2):
+                start, targets, _, root = _walk_setup(QuadraticForm(*form), t)
+                for g in targets:
+                    if g[1] % g[0] == 0 or g == start:
+                        continue
+                    found = _rho_walk(start, {g}, D, root)
+                    if found is None:
+                        missed += 1
+                        with pytest.raises(RuntimeError, match="internal error"):
+                            bqf._count_to(start, 0, start, g, root)
+                    else:
+                        met += 1
+                        assert bqf._count_to(start, 0, start, g, root) == len(found[1]), (
+                            form, t, g)
+        assert met > 100 and missed > 100
+        return
     f = _minus_two_form(*cell)
     start, targets, D, root = _walk_setup(f, -1)
     (target,) = targets
@@ -1079,42 +1105,18 @@ def test_counting_walk_fails_off_the_cycle():
     (target,) = targets
     assert _hit_step(f, -1) is None
     with pytest.raises(RuntimeError, match="internal error"):
-        bqf._signed_strides(start, 0, start, [], start, 0, target, [], root)
-
-
-def test_edgeless_counting_walk_matches_plain_rho_walk():
-    # targets with a not dividing b, as (t, B, C) at |t| = 2 with B odd: the
-    # count from the reduced start is a plain walk's, and a target off the
-    # cycle is an internal error
-    met = missed = 0
-    for form, D in _small_indefinite_forms():
-        if abs(form[0]) > 6 or abs(form[2]) > 6:
-            continue
-        for t in (-2, 2):
-            start, targets, _, root = _walk_setup(QuadraticForm(*form), t)
-            for g in targets:
-                if g[1] % g[0] == 0 or g == start:
-                    continue
-                found = _rho_walk(start, {g}, D, root)
-                if found is None:
-                    missed += 1
-                    with pytest.raises(RuntimeError, match="internal error"):
-                        bqf._steps_to(start, g, root)
-                else:
-                    met += 1
-                    assert bqf._steps_to(start, g, root) == len(found[1]), (form, t, g)
-    assert met > 100 and missed > 100
+        bqf._count_to(start, 0, start, target, root)
 
 
 def test_edgeless_strided_hit_keeps_no_quotient_list(monkeypatch):
     # a strided hit on a target with a not dividing b counts its steps with
-    # _steps_to, not with the recording walk _cycle_hit and its quotient list
+    # _count_to, not with the recording walk _cycle_hit and its quotient list
     queries = [(QuadraticForm(*form), t) for form, _ in _small_indefinite_forms()
                if abs(form[0]) <= 8 and abs(form[2]) <= 8 for t in (-2, 2)]
     monkeypatch.setattr(bqf, "_SWITCH", 4)
     monkeypatch.setattr(bqf, "_window_size", lambda D: 4)
     inside, counted = [], []
-    signed_strides, cycle_hit, steps_to = bqf._signed_strides, bqf._cycle_hit, bqf._steps_to
+    signed_strides, cycle_hit, count_to = bqf._signed_strides, bqf._cycle_hit, bqf._count_to
 
     def signing(*args):
         inside.append(True)
@@ -1127,12 +1129,13 @@ def test_edgeless_strided_hit_keeps_no_quotient_list(monkeypatch):
         assert not inside, "a strided hit recorded the quotients of its count"
         return cycle_hit(*args)
 
-    def counting(*args):
-        counted.append(args)
-        return steps_to(*args)
+    def counting(f_red, walked, end, g, root):
+        if g[1] % g[0]:
+            counted.append(g)
+        return count_to(f_red, walked, end, g, root)
     monkeypatch.setattr(bqf, "_signed_strides", signing)
     monkeypatch.setattr(bqf, "_cycle_hit", walk)
-    monkeypatch.setattr(bqf, "_steps_to", counting)
+    monkeypatch.setattr(bqf, "_count_to", counting)
     for f, t in queries:
         represents(f, t)
     assert len(counted) > 10
@@ -1160,6 +1163,25 @@ def test_represents_hard_cell_100135_2_witness_digest():
         sys.set_int_max_str_digits(limit)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a1d3ff872e6928af3eadb5241396552de899661e7705b36b1ff77aff48b3aac0")
+
+
+def test_represents_edgeless_strided_witness_digest(monkeypatch):
+    # (3, 20001, 20002) at -2: a hit past the switch on a target with a not
+    # dividing b, whose steps the counting walk counts without mirroring;
+    # pinned by bit length and the SHA-256 of "m,n" in decimal
+    counted = []
+    count_to = bqf._count_to
+
+    def counting(f_red, walked, end, g, root):
+        counted.append((walked, g))
+        return count_to(f_red, walked, end, g, root)
+    monkeypatch.setattr(bqf, "_count_to", counting)
+    m, n = represents(QuadraticForm(3, 20001, 20002), -2).witness
+    [(walked, (a, b, _))] = counted
+    assert walked >= bqf._SWITCH - 1 and b % a != 0
+    assert _bits((m, n)) == 5538
+    assert hashlib.sha256(f"{m},{n}".encode()).hexdigest() == (
+        "c1af74df3240d25db6726c1b8b9122905f6de349bbf471c77e59221566b5ca76")
 
 
 def test_lambda_tree_matches_matrix_products():

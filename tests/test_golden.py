@@ -104,7 +104,7 @@ def test_golden_represents_digest():
 
 
 # the witness assembly of represents: a scan takes the decision alone
-ASSEMBLY = ("_apply", "_column", "_signed_strides", "_count_to", "_steps_to")
+ASSEMBLY = ("_apply", "_column", "_signed_strides", "_count_to")
 
 
 def test_scan_assembles_no_witness(monkeypatch):

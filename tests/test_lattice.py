@@ -144,7 +144,8 @@ def test_minus_two_witness_cases():
 
 def test_scan_residue_screen_is_the_residue_scan(monkeypatch):
     # the per-genus decision's three lookups give _obstruction((3, d, c), -1)
-    # on every (d, c) mod 16, 9 and 5, and past them the decision goes on
+    # on every (d, c) mod 720, the lcm of DEFAULT_MODULI, and past them the
+    # decision goes on
     walked = object()
     monkeypatch.setattr(lattice, "_unit_walk", lambda *args: walked)
     for c in range(720):
@@ -166,8 +167,8 @@ def test_scan_genus_screen_is_the_genus_characters(monkeypatch):
     # below 1000 are 997 and others = 1 (mod 3)
     walked = object()
     monkeypatch.setattr(lattice, "_unit_walk", lambda *args: walked)
-    monkeypatch.setattr(lattice, "_residue_masks", lambda: (
-        [[0] * 16] * 16, [[0] * 9] * 9, [[0] * 5] * 5, [None] * 64))
+    monkeypatch.setattr(lattice, "_residue_tables", lambda: (
+        [[None] * 3] * 3, [[None] * 5] * 5, [[None] * 8] * 8))
     ones = prod(p for p in bqf._GENUS_PRIMES if p % 3 == 1)
     seen = Counter()
     for g in range(12, 3001):
@@ -191,7 +192,7 @@ def test_cli_import_builds_no_residue_table():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import k3cert.cli, k3cert.lattice as lattice; "
-         "print(lattice._residue_masks.cache_info().currsize)"],
+         "print(lattice._residue_tables.cache_info().currsize)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
