@@ -29,7 +29,7 @@ CONCLUSION_FAILS = "hypotheses_fail"
 def check_hypotheses(g: int, s: int) -> str:
     """Classify (g, s): strong when s >= -1 and g >= max(4s+14, 12),
     relaxed when s >= 1 and g = 4s+12, outside otherwise."""
-    if s >= -1 and g >= max(4 * s + 14, 12):
+    if s >= -1 and g >= 4 * s + 14 and g >= 12:
         return REGIME_STRONG
     if s >= 1 and g == 4 * s + 12:
         return REGIME_RELAXED

@@ -13,15 +13,19 @@ stdout): ``main`` raises it, and ``run``, the console script's and
 
 A scan makes one pass over its cells, a genus at a time (_scan_genus),
 with what depends on g alone, the (-2) screen among it (k3cert.lattice),
-worked out once.  Its rows, plain tuples in CSV_COLUMNS order, are
-computed from ints by build_certificate's checks, with the (-2) decision
-and the Clifford minimum alone, as a row shows only the decision's method
-and whether the minimum passes; scan_row(build_certificate(g, s)) is the
-same row.  Rows go out g ascending, then s ascending, to the output file
-or stdout, and the one-line summary to stderr, so that CSV and JSON
-payloads stay machine-parseable.  A scan runs in one process; scans over
-consecutive disjoint g-ranges concatenate in range order to one scan over
-their union.
+worked out once.  So are the gap and the expected dimension: each is
+affine in s, and so is its check, so each is computed and checked at the
+ends of the genus's s range only, and stepped in between (_affine).  The
+rows, plain tuples in CSV_COLUMNS order, are computed from ints by
+build_certificate's checks, with the (-2) decision and the Clifford
+minimum alone, as a row shows only the decision's method and whether the
+minimum passes; scan_row(build_certificate(g, s)) is the same row.  The
+Clifford minimum's slices with |n| = 1 reuse the cell's isqrt(Delta)
+(k3cert.clifford).  Rows go out g ascending, then s ascending, to the
+output file or stdout, and the one-line summary to stderr, so that CSV
+and JSON payloads stay machine-parseable.  A scan runs in one process;
+scans over consecutive disjoint g-ranges concatenate in range order to
+one scan over their union.
 
 Each call of ``main`` builds its parser anew, with no cache, and builds at
 most two ArgumentParsers: the top level's and that of the subcommand it
@@ -37,6 +41,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from math import isqrt
 
@@ -82,29 +87,45 @@ def scan_row(cert: Certificate) -> tuple:
 
 def _half_text(n: int) -> str:
     """n/2 as reduced "p/q" text: frac_str(Fraction(n, 2))."""
-    return "%d/2" % n if n & 1 else "%d/1" % (n >> 1)
+    return f"{n}/2" if n & 1 else f"{n >> 1}/1"
+
+
+def _affine(f: Callable[[int, int], int], g: int, s_min: int, s_max: int) -> range:
+    """[f(g, s) for s_min <= s <= s_max] for an f whose value is affine in s
+    and not constant, from f at the two ends alone.  A check in f that
+    compares affine values holds at every s between two at which it holds."""
+    lo, hi = f(g, s_min), f(g, s_max)
+    step = (hi - lo) // (s_max - s_min) if s_max > s_min else 1
+    return range(lo, hi + step, step)
 
 
 def _scan_genus(g: int, s_min: int, s_max: int) -> tuple[list[tuple], int]:
     """The scan rows of genus g for s_min <= s <= s_max (see the module
-    docstring), and twice the last one's gap, the largest (it grows with s)."""
+    docstring), and twice the last one's gap, the largest (it grows with s).
+    The gap's positivity is checked from s = -1 on, so where the range
+    starts below -1 it is checked at -1 as well as at the ends."""
     twelve_c, gamma1 = 12 * (g - 1), (g - 1) // 2
     decide = _minus_two_genus(g)
+    twice_gaps = _affine(_twice_gap, g, s_min, s_max)
+    if s_min < -1 < s_max:
+        _twice_gap(g, -1)
+    dims = _affine(expected_dim_bn24, g, s_min, s_max)
     rows = []
-    for s in range(s_min, s_max + 1):
+    for s, twice_gap, dim in zip(range(s_min, s_max + 1), twice_gaps, dims):
         d = g - s
         delta = d * d - twelve_c
         root = isqrt(delta) if delta > 0 else 0
         delta_ok = root * root != delta
         dec = decide(d, delta, root) if delta > 0 and delta_ok else None
         minus_two_ok = dec is not None and dec.status is not _WITNESS
-        low = _minimum(d, g, delta)[0] if minus_two_ok else None
+        low = _minimum(d, g, delta, root)[0] if minus_two_ok else None
         clifford_pass = minus_two_ok and (low is None or low >= gamma1)
         regime = check_hypotheses(g, s)
-        twice_gap = _twice_gap(g, s)
-        rows.append((g, s, d, regime, delta_ok, delta_ok, "" if dec is None else _method_text(dec),
-                     clifford_pass, gamma1, _half_text(d - 4), _half_text(twice_gap),
-                     expected_dim_bn24(g, s),
+        # _method_text(dec), inline: a call per cell costs more than the test
+        method = ("" if dec is None else
+                  "mod_scan" if dec.status is _OBSTRUCTED_MOD else "pell_search")
+        rows.append((g, s, d, regime, delta_ok, delta_ok, method, clifford_pass, gamma1,
+                     _half_text(d - 4), _half_text(twice_gap), dim,
                      decide_conclusion(regime, delta_ok, delta_ok, minus_two_ok, clifford_pass)))
     return rows, twice_gap
 

@@ -11,8 +11,10 @@ integer square root, and f is strictly concave in m, so the slice minimum
 sits at an endpoint of that interval; the work per slice is constant.  The
 slice loop is one private function on ints, _minimum, which verify_clifford
 wraps in its checks and its report, and whose minimum alone a scan row
-reads.  brute_force_min_f is the independent oracle for the same minimum on
-a finite box.
+reads.  Both callers hold isqrt(Delta) already and pass it in, and the
+slices with |n| = 1, two of the three that most cells scan, reuse it for
+their isqrt(n^2 Delta).  brute_force_min_f is the independent oracle for
+the same minimum on a finite box.
 """
 
 from __future__ import annotations
@@ -116,40 +118,50 @@ def verify_clifford(cfg: K3Config) -> CliffordReport:
     if cfg.root * cfg.root == gap:
         raise ValueError(f"requires d^2 - 12(g-1) nonsquare; got {gap} for (g, s) = ({g}, {cfg.s})")
     target = (g - 1) // 2
-    best_val, m, n, region, n_max = _minimum(d, g, gap)
+    best_val, m, n, region, n_max = _minimum(d, g, gap, cfg.root)
     best_at = DivisorClass(m, n) if best_val is not None else None
     passed = best_val is None or best_val >= target
     return CliffordReport(best_val, best_at, region, n_max + 1, target, passed)
 
 
-def _minimum(d: int, g: int, gap: int) -> tuple[int | None, int, int, int, int]:
-    """verify_clifford's minimization for degree d, genus g and the positive
-    nonsquare gap = d^2 - 12(g-1), unchecked, in ints: the minimum of f (None
-    on an empty region), the m and n of its argmin, the region size, and
-    n_max = bound_n - 1, the largest |n| scanned.  d <= 4 leaves c2 empty, so
-    no slice is scanned (n_max = -1).  A scan row reads the minimum alone."""
+def _minimum(d: int, g: int, gap: int, root: int) -> tuple[int | None, int, int, int, int]:
+    """verify_clifford's minimization for degree d, genus g, the positive
+    nonsquare gap = d^2 - 12(g-1) and root = isqrt(gap), unchecked, in ints:
+    the minimum of f (None on an empty region), the m and n of its argmin,
+    the region size, and n_max = bound_n - 1, the largest |n| scanned.  d <= 4
+    leaves c2 empty, so no slice is scanned (n_max = -1).  A scan row reads
+    the minimum alone."""
     if d <= 4:
         return None, 0, 0, 0, -1
     # floor((d-2)/R) = isqrt(floor((d-2)^2/R^2)), as floor(sqrt(x)) = isqrt(floor(x))
     n_max = isqrt((d - 2) ** 2 // gap)
+    g1 = g - 1
     best_val: int | None = None
     best_m = best_n = 0
     region = 0
     for n in range(-n_max, n_max + 1):
-        nd = n * d
-        v_lo = max(3, isqrt(n * n * gap) + 1)
+        nd, nn = n * d, n * n
+        # q = isqrt(n^2 gap): 0 at n = 0 and root at |n| = 1, the usual slices
+        q = root * nn if nn <= 1 else isqrt(nn * gap)
+        v_lo = q + 1 if q > 1 else 3     # max(3, q + 1)
         m_lo = -((nd - v_lo) // 6)       # ceil((v_lo - nd)/6)
-        m_hi = min((d - 3 - nd) // 6, -((2 * n - 1) * (g - 1)) // d)
+        m_hi = (d - 3 - nd) // 6         # floor((d - 3 - nd)/6), capped by c3:
+        c3 = -((2 * n - 1) * g1) // d    # floor(-(2n-1)(g-1)/d)
+        if c3 < m_hi:
+            m_hi = c3
         if m_lo > m_hi:
             continue
         region += m_hi - m_lo + 1
         # f_value with the slice's linear and constant terms hoisted
         f_lin = (1 - 2 * n) * d
-        f_const = (n - n * n) * (2 * g - 2) - 2
-        for m in (m_lo, m_hi):
-            v = (f_lin - 6 * m) * m + f_const
-            if best_val is None or v < best_val:
-                best_val, best_m, best_n = v, m, n
+        f_const = 2 * (n - nn) * g1 - 2
+        # the two endpoints in ascending m, written out
+        v = (f_lin - 6 * m_lo) * m_lo + f_const
+        if best_val is None or v < best_val:
+            best_val, best_m, best_n = v, m_lo, n
+        v = (f_lin - 6 * m_hi) * m_hi + f_const
+        if v < best_val:
+            best_val, best_m, best_n = v, m_hi, n
     return best_val, best_m, best_n, region, n_max
 
 

@@ -450,6 +450,41 @@ def test_scan_rows_are_certificate_rows_past_every_edge():
     assert len(seen) == 5 and all(seen.values()), seen
 
 
+def _certificate_scan(g: int, s_min: int, s_max: int) -> tuple[list[tuple], dict]:
+    """run_scan(g, g, s_min, s_max), built from one certificate per cell."""
+    certs = [build_certificate(g, s) for s in range(s_min, s_max + 1)]
+    gaps = [cert.gap_lower_bound for cert in certs]
+    top = max(gaps)
+    return [scan_row(cert) for cert in certs], {
+        "cells": len(certs),
+        "theorem_applies": [cert.conclusion for cert in certs].count("theorem_applies"),
+        "max_gap": cli.frac_str(top),
+        "max_gap_at": {"g": g, "s": certs[gaps.index(top)].s},
+    }
+
+
+def test_scan_rows_at_the_api_edges():
+    # run_scan takes s ranges that the CLI refuses, with s_min < -1, where
+    # the gap may be negative and is checked from s = -1 on only; and single
+    # s on the regime edges, the last strong s = (g - 14)/4 and the relaxed
+    # line g = 4s + 12, where a range's two ends are one cell
+    ranges = [(g, s_min, s_max) for g in range(12, 41)
+              for s_min, s_max in ((-6, 3), (-6, -2), (-6, -1), (-2, -1))]
+    ranges += [(g, (g - k) // 4, (g - k) // 4) for g in range(12, 121)
+               for k in (14, 12) if (g - k) % 4 == 0 and g >= k]
+    ranges += [(g, s, s + 1) for g in range(14, 121, 4) for s in ((g - 14) // 4,)]
+    negative_gaps = 0
+    for g, s_min, s_max in ranges:
+        rows, summary = _certificate_scan(g, s_min, s_max)
+        assert run_scan(g, g, s_min, s_max) == (rows, summary), (g, s_min, s_max)
+        negative_gaps += sum(row[CSV_COLUMNS.index("gap")].startswith("-") for row in rows)
+    assert negative_gaps > 0
+    # whole rectangles with s_min < -1, a genus at a time
+    rows, summary = run_scan(12, 40, -6, 3)
+    assert rows == [row for g in range(12, 41) for row in _certificate_scan(g, -6, 3)[0]]
+    assert summary["cells"] == 290 and summary["max_gap_at"] == {"g": 13, "s": 3}
+
+
 def test_scan_builds_no_record_per_cell(monkeypatch):
     # a scan row is computed from ints: run_scan builds none of the records
     # a certificate holds, while build_certificate, under the same count,

@@ -141,7 +141,14 @@ def test_region_bound_witness():
 
 
 def test_verify_matches_brute_force():
-    for g, s in [(19, 1), (12, -1), (14, 0), (16, 1), (40, 2), (29, 3), (300, 6), (262, 6)]:
+    # the last five reach what a scan-like cell, with |n| <= 1, does not: the
+    # d <= 4 return at (20, 40), where d = -20, and slices with |n| >= 2,
+    # whose interval of m takes isqrt(n^2 Delta) rather than isqrt(Delta):
+    # bound_n is 3 at (73, 42), 4 at (14, 1) and 9 at (75, 45) and (80, 49),
+    # and the region reaches |n| = 2, 2, 3 and 4 there
+    bounds, far = set(), set()
+    for g, s in [(19, 1), (12, -1), (14, 0), (16, 1), (40, 2), (29, 3), (300, 6), (262, 6),
+                 (20, 40), (73, 42), (14, 1), (75, 45), (80, 49)]:
         cfg = K3Config(g, s)
         rep = verify_clifford(cfg)
         bru = brute_force_min_f(cfg, 60)
@@ -149,6 +156,10 @@ def test_verify_matches_brute_force():
         assert bru.argmin == rep.argmin
         assert bru.region_size == rep.region_size
         assert bru.passed == rep.passed
+        bounds.add(rep.bound_n)
+        far |= {abs(n) for n in range(-rep.bound_n, rep.bound_n + 1) if abs(n) >= 2
+                for m in range(-60, 61) if all(constraints(cfg, m, n))}
+    assert {0, 3, 4, 9} <= bounds and far == {2, 3, 4}
 
 
 @settings(deadline=None)
