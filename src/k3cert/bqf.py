@@ -53,15 +53,19 @@ update each; a longer transform is assembled in a balanced product tree
 spine is applied to the vector: near-linear in the witness size, where one
 shear at a time is quadratic.
 
-A walk that has not ended after _SWITCH steps goes on with giant strides
-(baby steps and giant steps on the cycle's infrastructure, Shanks 1972):
-composition with the principal form three quarters of a window along the
+A walk that has not ended after _SWITCH // 2 steps goes on until it has
+passed a window's worth of steps, W, and then with giant strides (baby
+steps and giant steps on the cycle's infrastructure, Shanks 1972):
+composition with the principal form h three quarters of a window along the
 principal cycle, and reduction, jump that far along the cycle at once, with
 an exact transform.  Each target, and the start of the cycle, has one window
-of consecutive forms.  The strides start at the last form of the start
-window: one that lands in a target's window has met the first target, and
-one that lands in the start window has gone round the cycle; the decision
-ends at that landing.  A stride's transform is the walk's only up to sign,
+of W consecutive forms.  For |t| = 1 one of them starts at t0, the reduced
+principal form or its image with a and c negated, which rho moves in
+lockstep, so h is read off that window and the principal cycle is not
+walked again.  The strides start at the last form of the start window: one
+that lands in a target's window has met the first target, and one that
+lands in the start window has gone round the cycle; the decision ends at
+that landing.  A stride's transform is the walk's only up to sign,
 which depends on the number of steps mod 4, so the assembly of a strided
 hit counts its steps: a cycle walk goes on to the target, recording
 nothing, and where the target follows an edge it jumps to tau of the start
@@ -80,7 +84,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd, isqrt, prod
 from sys import maxsize
-from typing import Collection, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_MODULI: tuple[int, ...] = (3, 4, 5, 8, 9, 16)
 
@@ -338,14 +342,15 @@ def _mirrors(targets: Collection[_Form]) -> bool:
 
 
 def _cycle_hit(start: _Form, targets: Collection[_Form], root: int,
-               limit: int | None = None) -> tuple[_Form, list[int]] | None:
+               limit: int | Iterable[int] | None = None) -> tuple[_Form, list[int]] | None:
     """Walk the reduction cycle of `start`: the first of the forms `targets`
     met and the quotients q of the steps that take `start` to it, or None
     once the walk has closed the cycle without a hit.  After `limit` // 2
-    passes with neither, the form reached (not a target) and the quotients
-    to it; without a limit the walk stops at _cycle_bound.  _signed turns
-    the quotients into the shears s of the steps [[0, -1], [1, s]]; their
-    number is the number of steps.
+    passes with neither, or after the passes of each stage where `limit`
+    yields them (_passes), the form reached (not a target) and the
+    quotients to it; without a limit the walk stops at _cycle_bound.
+    _signed turns the quotients into the shears s of the steps
+    [[0, -1], [1, s]]; their number is the number of steps.
 
     A reduced form (a, b, c) has ac < 0 and rho takes it to (c, b', c'), so
     the sign of a alternates, and `start` can come back only after an even
@@ -376,38 +381,41 @@ def _cycle_hit(start: _Form, targets: Collection[_Form], root: int,
     quotients: list[int] = []
     record = quotients.append
     # repeat takes a C ssize_t count; maxsize passes outlast any real run
-    for _ in repeat(None, min((_cycle_bound(root) + 1 if limit is None else limit) // 2,
-                              maxsize)):
-        q = (root + b) // C
-        record(q)
-        b1 = C * q - b
-        A -= q * (b1 - b)
-        if b1 in stops or b1 == b:
-            form = (-sign * ((D - b1 * b1) // A >> 1), b1, sign * (A >> 1))
-            if form in targets:
-                return form, quotients
-            if b1 == b and mirror:
-                if tau is None:
+    stages = ((min((_cycle_bound(root) + 1) // 2, maxsize),) if limit is None
+              else (limit // 2,) if type(limit) is int else limit)
+    for passes in stages:
+        for _ in repeat(None, passes):
+            q = (root + b) // C
+            record(q)
+            b1 = C * q - b
+            A -= q * (b1 - b)
+            if b1 in stops or b1 == b:
+                form = (-sign * ((D - b1 * b1) // A >> 1), b1, sign * (A >> 1))
+                if form in targets:
+                    return form, quotients
+                if b1 == b and mirror:
+                    if tau is None:
+                        return None
+                    quotients += quotients[-2::-1]
+                    (sign, A, b, C), tau = tau, None
+                    continue
+            q = (root + b1) // A
+            record(q)
+            b = A * q - b1
+            C -= q * (b - b1)
+            if b in stops or b == b1:
+                form = (sign * (A >> 1), b, -sign * (C >> 1))
+                if form in targets:
+                    return form, quotients
+                if b == b1 and mirror:
+                    if tau is None:
+                        return None
+                    quotients += quotients[-2::-1]
+                    (sign, A, b, C), tau = tau, None
+                # ends: rho permutes the finite set of reduced forms of
+                # discriminant D (B&V ch. 6)
+                elif form == start:
                     return None
-                quotients += quotients[-2::-1]
-                (sign, A, b, C), tau = tau, None
-                continue
-        q = (root + b1) // A
-        record(q)
-        b = A * q - b1
-        C -= q * (b - b1)
-        if b in stops or b == b1:
-            form = (sign * (A >> 1), b, -sign * (C >> 1))
-            if form in targets:
-                return form, quotients
-            if b == b1 and mirror:
-                if tau is None:
-                    return None
-                quotients += quotients[-2::-1]
-                (sign, A, b, C), tau = tau, None
-            # ends: rho permutes the finite set of reduced forms of discriminant D (B&V ch. 6)
-            elif form == start:
-                return None
     if limit is None:
         raise RuntimeError("internal error: the cycle walk ran past the bound on the cycle length")
     return (sign * (A >> 1), b, -sign * (C >> 1)), quotients
@@ -423,8 +431,8 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 
 # -- giant strides ------------------------------------------------------------
 #
-# A walk that has not ended after _SWITCH steps is finished by Shanks's baby
-# steps and giant steps on the infrastructure of the cycle (Shanks 1972;
+# A walk that has not ended after _handover(D) steps is finished by Shanks's
+# baby steps and giant steps on the infrastructure of the cycle (Shanks 1972;
 # Jacobson & Williams, *Solving the Pell Equation*, 2009, ch. 10-11).
 #
 # A transform with first column (p, r) from a form (a, b, c) has
@@ -460,13 +468,19 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 # (_count_to), and fixes the sign of the product of the strides from that
 # count (_signed_strides).
 #
-# The walk hands over after at least _SWITCH - 1 steps, more where it
-# mirrored.  Windows are capped at _SWITCH steps, so past g ~ 10^6, where
-# 2 D^(1/4) > _SWITCH, they stop growing with D.
+# A walk hands over once it has passed the start window, after
+# max(_SWITCH // 2, W) steps, W = min(_window_size(D), _SWITCH) the window
+# (_handover), and it works that bound out only once it has walked
+# _SWITCH // 2 steps; a mirrored walk may count one step fewer, and W is
+# then cut to the steps walked.  Windows are capped at _SWITCH steps, so
+# past g ~ 10^6, where 2 D^(1/4) > _SWITCH, they stop growing with D.
 
-# The windows and h cost about 2,000 walk steps (measured when the switch
-# was set), and the scan-grid benchmark's half walks of the target's cycle
-# (_unit_walk) all end within 881 steps.
+# The windows, their products and h cost about 1,500 recording walk steps
+# at the check-witness benchmark's hand-overs (W = 92-342) and about 20,000
+# at W ~ 2,000 (g ~ 10^6), and the scan-grid benchmark's half walks of the
+# target's cycle (_unit_walk) all end within 881 steps, short of
+# _SWITCH // 2.  Windows keep the _SWITCH cap: with the switch at 1,024, and
+# so the cap, the g ~ 10^7 band took 20-40% longer.
 _SWITCH = 2048
 
 
@@ -474,6 +488,21 @@ def _window_size(D: int) -> int:
     """Steps per window, about 2 D^(1/4), twice the square root of a
     typical cycle length ~ sqrt(D); at least 64."""
     return max(64, 2 * isqrt(isqrt(D)))
+
+
+def _handover(D: int) -> int:
+    """The steps a walk takes before the giant strides: max(_SWITCH // 2, W),
+    W = min(_window_size(D), _SWITCH), so that it has passed the start
+    window (see the comment above _SWITCH)."""
+    return max(_SWITCH // 2, min(_window_size(D), _SWITCH))
+
+
+def _passes(D: int) -> Iterator[int]:
+    """The passes of two steps that a walk takes before the giant strides, in
+    two stages: _SWITCH // 2 steps, and then on to _handover(D) steps, worked
+    out only when the walk gets there."""
+    yield _SWITCH // 4
+    yield (_handover(D) + 1) // 2 - _SWITCH // 4
 
 
 def _window(start: _Form, steps: int,
@@ -608,28 +637,52 @@ def _giant(f_red: _Form, end: _Form, walked: int, targets: Collection[_Form],
     W = min(_window_size(D), _SWITCH, walked)
     K2 = 2 * (root + 1)
     start_keys, fshears, f_last, _ = _window(f_red, W, root)
-    # the start window's transform: its r bounds the strides, and its first
-    # column is the head node's
-    p_f, _, r_f, _ = _product(fshears)
-    reach = _reach(f_red, f_last, r_f, root)
+    walks = [(f_red, fshears, f_last)]
     windows: list[_Window] = []
     for g in targets:
         gkeys, gshears, g_last, g_closed = _window(g, W, root)
         if not g_closed:  # else its cycle is shorter than f_red's
             windows.append((gkeys, g, gshears))
-            reach = min(reach, _reach(g, g_last, _product(gshears)[2], root))
+            walks.append((g, gshears, g_last))
     if not windows:
         return None
-    # h is the form n_h steps along the principal cycle from the reduced
-    # (1, B, C), with the transform to it from (1, B, C); a principal cycle
-    # of at most n_h steps gives no h
+    # h is the form n_h steps along the principal cycle from p_red, the
+    # reduced (1, B, C), and M the transform to it from (1, B, C), m_p times
+    # the product P of those steps' shears.  A window from p_red holds them,
+    # and one from N(p_red), N(a, b, c) = (-a, b, -c), holds their images
+    # under N: rho commutes with N and negates its shears, so a product of k
+    # of them is (-1)^k J P J, J = diag(1, -1).  Every |t| = 1 hand-over
+    # walks one of the two (t0 is +-p_red); one with neither, as at |t| = 2,
+    # walks the principal window itself
     n_h = 3 * W // 4
     B = D & 1
     p_red, m_p = _reduce((1, B, (B * B - D) // 4), D, root)
-    _, pshears, h, p_closed = _window(p_red, n_h, root)
-    if p_closed:
-        return _cycle_hit(end, targets, root)
-    M = _matmul(m_p, _product(pshears))
+    a, b, c = p_red
+    principal = p_red, (-a, b, -c)
+    P = None
+    products = []
+    for g, shears, _ in walks:
+        if P is None and g in principal:
+            P = _product(shears[:n_h])
+            products.append(_matmul(P, _product(shears[n_h:])))
+            if g != p_red:
+                p, q, r, s = P
+                P = (p, -q, -r, s) if n_h % 2 == 0 else (-p, q, r, -s)
+        else:
+            products.append(_product(shears))
+    # each window's r bounds the strides, and the start window's first
+    # column is the head node's
+    reach = min(_reach(g, last, m[2], root) for (g, _, last), m in zip(walks, products))
+    p_f, _, r_f, _ = products[0]
+    if P is None:
+        _, pshears, _, p_closed = _window(p_red, n_h, root)
+        if p_closed:  # a principal cycle of at most n_h steps gives no h
+            return _cycle_hit(end, targets, root)
+        P = _product(pshears)
+    p, q, r, s = P
+    h = (a * p * p + b * p * r + c * r * r, 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
+         a * q * q + b * q * s + c * s * s)  # p_red(P(x, y))
+    M = _matmul(m_p, P)
     lam = (2 * M[0] + M[2] * B, -M[2])
     # strides from f_last (see the comment above _SWITCH); each moves at
     # least one step, and a cycle has fewer than _cycle_bound forms (capped
@@ -806,9 +859,11 @@ def _unit_walk(form: _Form, t: int, D: int, root: int) -> RepDecision:
     """represents' status and modulus for |t| = 1 past _screen, on half of
     the target's cycle (see the module docstring), with no witness: the walk
     of t0's cycle for f_red or tau(f_red) up to its middle edge, _cycle_hit's
-    walk recording nothing, finished past _SWITCH steps by _giant with f_red
-    and tau(f_red).  A decision is truthy, so _screen(...) or _unit_walk(...)
-    is the whole decision."""
+    walk recording nothing, handed to _giant with f_red and tau(f_red) after
+    _handover(D) steps, a bound worked out only past _SWITCH // 2 steps, as
+    _passes does for _cycle_hit, without a generator to create and close on
+    every scan row.  A decision is truthy, so _screen(...) or
+    _unit_walk(...) is the whole decision."""
     f_red, _ = _reduce(form, D, root)
     a_f, b_f, c_f = f_red
     targets = f_red, (c_f, b_f, a_f)
@@ -818,23 +873,27 @@ def _unit_walk(form: _Form, t: int, D: int, root: int) -> RepDecision:
         return _REPRESENTED
     # a has the sign of t after an even number of steps, and |t0's c| = (D - b^2)/4
     A, C = 2, (D - b * b) >> 1
-    for _ in repeat(None, _SWITCH // 2):
-        q = (root + b) // C
-        b1 = C * q - b
-        if b1 == b:  # the middle edge, to tau of the form before it
-            return _NONE_PROVED
-        A -= q * (b1 - b)
-        if b1 == b_f and (-t * (C >> 1), b1, t * (A >> 1)) in targets:
-            return _REPRESENTED
-        q = (root + b1) // A
-        b = A * q - b1
-        if b == b1:
-            return _NONE_PROVED
-        C -= q * (b - b1)
-        if b == b_f and (t * (A >> 1), b, -t * (C >> 1)) in targets:
-            return _REPRESENTED
+    walked, passes = 0, _SWITCH // 4  # _SWITCH // 2 steps, then on to _handover(D)
+    while passes:
+        for _ in repeat(None, passes):
+            q = (root + b) // C
+            b1 = C * q - b
+            if b1 == b:  # the middle edge, to tau of the form before it
+                return _NONE_PROVED
+            A -= q * (b1 - b)
+            if b1 == b_f and (-t * (C >> 1), b1, t * (A >> 1)) in targets:
+                return _REPRESENTED
+            q = (root + b1) // A
+            b = A * q - b1
+            if b == b1:
+                return _NONE_PROVED
+            C -= q * (b - b1)
+            if b == b_f and (t * (A >> 1), b, -t * (C >> 1)) in targets:
+                return _REPRESENTED
+        walked += 2 * passes
+        passes = (_handover(D) + 1) // 2 - walked // 2
     end = (t * (A >> 1), b, -t * (C >> 1))
-    if _giant(t0, end, _SWITCH // 2 * 2, targets, D, root) is None:
+    if _giant(t0, end, walked, targets, D, root) is None:
         return _NONE_PROVED
     return _REPRESENTED
 
@@ -853,8 +912,9 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     meets a reduced target or closes the cycle, which proves that t is not
     represented; where the targets allow, it mirrors at the cycle's first
     edge and closes at its second (_cycle_hit).  A walk that has not ended
-    after _SWITCH steps is finished by giant strides (_giant), which meet
-    the same first target, or give the same proof.
+    after _SWITCH // 2 steps goes on until it has passed a window, to
+    _handover(D) steps, and is then finished by giant strides (_giant), which
+    meet the same first target, or give the same proof.
 
     A scan row takes a shorter decision with no witness, its screens
     specialised and then the walk on half of the target's cycle
@@ -883,7 +943,7 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
             C = (B * B - D) // four_t
             g_red, (_, _, r, s) = _reduce((t, B, C), D, root)
             targets.setdefault(g_red, (s, -r))
-    found = _cycle_hit(f_red, targets, root, _SWITCH) if targets else None
+    found = _cycle_hit(f_red, targets, root, _passes(D)) if targets else None
     if found is not None and found[0] not in targets:
         end, head = found
         found = _giant(f_red, end, len(head), targets, D, root)

@@ -1141,6 +1141,111 @@ def test_edgeless_strided_hit_keeps_no_quotient_list(monkeypatch):
     assert len(counted) > 10
 
 
+def test_walks_hand_over_once_past_the_window(monkeypatch):
+    # a walk still open after _SWITCH // 2 steps goes on to _handover(D) =
+    # max(_SWITCH // 2, W) steps, past the window W, and hands over there,
+    # where it used to walk _SWITCH steps.  The half walks of g <= 600
+    # (scan-grid's cells) all end within _SWITCH // 2 steps, and never work
+    # the bound out
+    handover = bqf._handover
+    monkeypatch.setattr(bqf, "_handover", lambda D: pytest.fail("worked out the hand-over"))
+    for form, D in _open_cells(600):
+        bqf._unit_walk(form, -1, D, isqrt(D))
+    monkeypatch.setattr(bqf, "_handover", handover)
+    # on g in [2000, 4000), W = 90-126: represents' witnesses and the scan's
+    # decisions are the walk's, and the strides settle hits and closed
+    # cycles of both walks in the band that the walks used to take, past
+    # _SWITCH // 2 steps and within _SWITCH (with the switch doubled, a walk
+    # hands over after _SWITCH steps, as it used to)
+    cells = [(form, D, isqrt(D)) for form, D in _open_cells(3999) if form[2] >= 1999
+             and form[2] % 32 == 0]
+    switch = bqf._SWITCH
+    assert {bqf._handover(D) for _, D, _ in cells} == {switch // 2}
+    monkeypatch.setattr(bqf, "_SWITCH", 10 ** 9)
+    walked = [(represents(QuadraticForm(*form), -1),
+               bqf._screen(form, -1, D, root) or bqf._unit_walk(form, -1, D, root))
+              for form, D, root in cells]
+    log = _log_strides(monkeypatch)
+    giant = bqf._giant
+    monkeypatch.setattr(bqf, "_giant", lambda *args: log.append("giant") or giant(*args))
+
+    def ends(switch):
+        # the decisions of both walks of each cell with _SWITCH = switch, and
+        # how the strides ended them, or None without a hand-over
+        monkeypatch.setattr(bqf, "_SWITCH", switch)
+        decisions, outcomes = [], []
+        for form, D, root in cells:
+            for decide in (lambda: represents(QuadraticForm(*form), -1),
+                           lambda: bqf._screen(form, -1, D, root)
+                           or bqf._unit_walk(form, -1, D, root)):
+                start = len(log)
+                decisions.append(decide())
+                calls = log[start:]
+                outcomes.append("walk" if "walk" in calls else "closed" if "closed" in calls
+                                else "hit" if "_landed" in calls else
+                                "handed" if "giant" in calls else None)
+        return decisions, outcomes
+    decided, strided = ends(switch)
+    assert decided == [d for pair in walked for d in pair]
+    doubled, before = ends(2 * switch)
+    assert doubled == decided
+    # by walk (represents, the scan) and outcome
+    band = Counter((k % 2, now) for k, (now, then) in enumerate(zip(strided, before))
+                   if then is None)
+    assert min(band[k, outcome] for k in (0, 1) for outcome in ("hit", "closed")) > 0, band
+
+
+def test_unit_hand_overs_read_h_off_the_principal_window(monkeypatch):
+    # h and lambda(M) come from the window that a |t| = 1 hand-over already
+    # walks from +-p_red, the target of a check and the start t0 of a scan:
+    # a check walks two windows (f_red's and the target's), a scan three
+    # (t0's, f_red's and tau(f_red)'s), and each h and lambda(M) is the one
+    # of the principal walk, _window(p_red, n_h) and _product
+    window, stride, giant = bqf._window, bqf._stride, bqf._giant
+    windows, strides, counts = [], [], Counter()
+    monkeypatch.setattr(bqf, "_window", lambda start, steps, root: windows.append(start)
+                        or window(start, steps, root))
+    monkeypatch.setattr(bqf, "_stride", lambda form, h, lam, D, root: strides.append((h, lam))
+                        or stride(form, h, lam, D, root))
+    scan = False
+
+    def logged(f_red, end, walked, targets, D, root):
+        del windows[:], strides[:]
+        found = giant(f_red, end, walked, targets, D, root)
+        if strides:
+            W = min(bqf._window_size(D), bqf._SWITCH, walked)
+            B = D & 1
+            p_red, m_p = bqf._reduce((1, B, (B * B - D) // 4), D, root)
+            _, pshears, h, _ = window(p_red, 3 * W // 4, root)
+            M = bqf._matmul(m_p, bqf._product(pshears))
+            assert set(strides) == {(h, (2 * M[0] + M[2] * B, -M[2]))}
+            assert len(windows) == 2 + scan, (f_red, targets)
+            counts[scan, f_red[0] if scan else next(iter(targets))[0]] += 1
+        return found
+    monkeypatch.setattr(bqf, "_giant", logged)
+    monkeypatch.setattr(bqf, "_SWITCH", 4)
+    for form, D in _small_indefinite_forms():
+        if abs(form[0]) <= 8 and abs(form[2]) <= 8:
+            for t in (-1, 1):
+                scan = False
+                represents(QuadraticForm(*form), t)
+                scan = True
+                bqf._screen(form, t, D, isqrt(D)) or bqf._unit_walk(form, t, D, isqrt(D))
+    # checks and scans, for both signs of t
+    assert min(counts[scan, t] for scan in (False, True) for t in (-1, 1)) > 20, counts
+    # a |t| = 2 query walks its own principal window
+    monkeypatch.undo()
+    monkeypatch.setattr(bqf, "_window", lambda start, steps, root: windows.append((start, steps))
+                        or window(start, steps, root))
+    f = QuadraticForm(3, 20001, 20002)
+    D = f.discriminant()
+    root = isqrt(D)
+    assert represents(f, -2).status is DecisionStatus.WITNESS
+    B = D & 1
+    p_red, _ = bqf._reduce((1, B, (B * B - D) // 4), D, root)
+    assert (p_red, 3 * bqf._window_size(D) // 4) in windows
+
+
 def test_represents_long_closed_cycle_100003_2():
     # a 62,134-step cycle that neither the residue scan nor a genus character
     # settles; recorded NONE_PROVED by the plain walk
@@ -1178,7 +1283,8 @@ def test_represents_edgeless_strided_witness_digest(monkeypatch):
     monkeypatch.setattr(bqf, "_count_to", counting)
     m, n = represents(QuadraticForm(3, 20001, 20002), -2).witness
     [(walked, (a, b, _))] = counted
-    assert walked >= bqf._SWITCH - 1 and b % a != 0
+    assert (walked >= bqf._handover(QuadraticForm(3, 20001, 20002).discriminant()) - 1
+            and b % a != 0)
     assert _bits((m, n)) == 5538
     assert hashlib.sha256(f"{m},{n}".encode()).hexdigest() == (
         "c1af74df3240d25db6726c1b8b9122905f6de349bbf471c77e59221566b5ca76")
