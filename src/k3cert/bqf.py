@@ -53,9 +53,10 @@ update each; a longer transform is assembled in a balanced product tree
 spine is applied to the vector: near-linear in the witness size, where one
 shear at a time is quadratic.
 
-A walk that has not ended after _SWITCH // 2 steps goes on until it has
-passed a window's worth of steps, W, and then with giant strides (baby
-steps and giant steps on the cycle's infrastructure, Shanks 1972):
+A walk that has not ended after _handover(D) steps, the larger of
+_SWITCH // 2 and a window's worth of steps, W, worked out once before the
+walk, goes on with giant strides (baby steps and giant steps on the
+cycle's infrastructure, Shanks 1972):
 composition with the principal form h three quarters of a window along the
 principal cycle, and reduction, jump that far along the cycle at once, with
 an exact transform.  Each target, and the start of the cycle, has one window
@@ -84,7 +85,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd, isqrt, prod
 from sys import maxsize
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 DEFAULT_MODULI: tuple[int, ...] = (3, 4, 5, 8, 9, 16)
 
@@ -342,13 +343,13 @@ def _mirrors(targets: Collection[_Form]) -> bool:
 
 
 def _cycle_hit(start: _Form, targets: Collection[_Form], root: int,
-               limit: int | Iterable[int] | None = None) -> tuple[_Form, list[int]] | None:
+               limit: int | None = None) -> tuple[_Form, list[int]] | None:
     """Walk the reduction cycle of `start`: the first of the forms `targets`
     met and the quotients q of the steps that take `start` to it, or None
     once the walk has closed the cycle without a hit.  After `limit` // 2
-    passes with neither, or after the passes of each stage where `limit`
-    yields them (_passes), the form reached (not a target) and the
-    quotients to it; without a limit the walk stops at _cycle_bound.
+    passes of two steps with neither (represents' limit is _handover(D)),
+    the form reached (not a target) and the quotients to it; without a
+    limit the walk stops at _cycle_bound.
     _signed turns the quotients into the shears s of the steps
     [[0, -1], [1, s]]; their number is the number of steps.
 
@@ -381,41 +382,39 @@ def _cycle_hit(start: _Form, targets: Collection[_Form], root: int,
     quotients: list[int] = []
     record = quotients.append
     # repeat takes a C ssize_t count; maxsize passes outlast any real run
-    stages = ((min((_cycle_bound(root) + 1) // 2, maxsize),) if limit is None
-              else (limit // 2,) if type(limit) is int else limit)
-    for passes in stages:
-        for _ in repeat(None, passes):
-            q = (root + b) // C
-            record(q)
-            b1 = C * q - b
-            A -= q * (b1 - b)
-            if b1 in stops or b1 == b:
-                form = (-sign * ((D - b1 * b1) // A >> 1), b1, sign * (A >> 1))
-                if form in targets:
-                    return form, quotients
-                if b1 == b and mirror:
-                    if tau is None:
-                        return None
-                    quotients += quotients[-2::-1]
-                    (sign, A, b, C), tau = tau, None
-                    continue
-            q = (root + b1) // A
-            record(q)
-            b = A * q - b1
-            C -= q * (b - b1)
-            if b in stops or b == b1:
-                form = (sign * (A >> 1), b, -sign * (C >> 1))
-                if form in targets:
-                    return form, quotients
-                if b == b1 and mirror:
-                    if tau is None:
-                        return None
-                    quotients += quotients[-2::-1]
-                    (sign, A, b, C), tau = tau, None
-                # ends: rho permutes the finite set of reduced forms of
-                # discriminant D (B&V ch. 6)
-                elif form == start:
+    passes = min((_cycle_bound(root) + 1) // 2, maxsize) if limit is None else limit // 2
+    for _ in repeat(None, passes):
+        q = (root + b) // C
+        record(q)
+        b1 = C * q - b
+        A -= q * (b1 - b)
+        if b1 in stops or b1 == b:
+            form = (-sign * ((D - b1 * b1) // A >> 1), b1, sign * (A >> 1))
+            if form in targets:
+                return form, quotients
+            if b1 == b and mirror:
+                if tau is None:
                     return None
+                quotients += quotients[-2::-1]
+                (sign, A, b, C), tau = tau, None
+                continue
+        q = (root + b1) // A
+        record(q)
+        b = A * q - b1
+        C -= q * (b - b1)
+        if b in stops or b == b1:
+            form = (sign * (A >> 1), b, -sign * (C >> 1))
+            if form in targets:
+                return form, quotients
+            if b == b1 and mirror:
+                if tau is None:
+                    return None
+                quotients += quotients[-2::-1]
+                (sign, A, b, C), tau = tau, None
+            # ends: rho permutes the finite set of reduced forms of
+            # discriminant D (B&V ch. 6)
+            elif form == start:
+                return None
     if limit is None:
         raise RuntimeError("internal error: the cycle walk ran past the bound on the cycle length")
     return (sign * (A >> 1), b, -sign * (C >> 1)), quotients
@@ -469,11 +468,12 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 # count (_signed_strides).
 #
 # A walk hands over once it has passed the start window, after
-# max(_SWITCH // 2, W) steps, W = min(_window_size(D), _SWITCH) the window
-# (_handover), and it works that bound out only once it has walked
-# _SWITCH // 2 steps; a mirrored walk may count one step fewer, and W is
-# then cut to the steps walked.  Windows are capped at _SWITCH steps, so
-# past g ~ 10^6, where 2 D^(1/4) > _SWITCH, they stop growing with D.
+# _handover(D) = max(_SWITCH // 2, W) steps, W = min(_window_size(D), _SWITCH)
+# the window; each walk works that number out once, before its loop, and
+# walks it as a plain step count.  A mirrored walk may count one step
+# fewer, and W is then cut to the steps walked.  Windows are capped at
+# _SWITCH steps, so past g ~ 10^6, where 2 D^(1/4) > _SWITCH, they stop
+# growing with D.
 
 # The windows, their products and h cost about 1,500 recording walk steps
 # at the check-witness benchmark's hand-overs (W = 92-342) and about 20,000
@@ -493,16 +493,10 @@ def _window_size(D: int) -> int:
 def _handover(D: int) -> int:
     """The steps a walk takes before the giant strides: max(_SWITCH // 2, W),
     W = min(_window_size(D), _SWITCH), so that it has passed the start
-    window (see the comment above _SWITCH)."""
+    window (see the comment above _SWITCH).  Each walk works it out once,
+    before its loop, and takes _handover(D) // 2 passes of two steps; the
+    number is even, as _SWITCH, _SWITCH // 2 and the window are."""
     return max(_SWITCH // 2, min(_window_size(D), _SWITCH))
-
-
-def _passes(D: int) -> Iterator[int]:
-    """The passes of two steps that a walk takes before the giant strides, in
-    two stages: _SWITCH // 2 steps, and then on to _handover(D) steps, worked
-    out only when the walk gets there."""
-    yield _SWITCH // 4
-    yield (_handover(D) + 1) // 2 - _SWITCH // 4
 
 
 def _window(start: _Form, steps: int,
@@ -860,10 +854,8 @@ def _unit_walk(form: _Form, t: int, D: int, root: int) -> RepDecision:
     the target's cycle (see the module docstring), with no witness: the walk
     of t0's cycle for f_red or tau(f_red) up to its middle edge, _cycle_hit's
     walk recording nothing, handed to _giant with f_red and tau(f_red) after
-    _handover(D) steps, a bound worked out only past _SWITCH // 2 steps, as
-    _passes does for _cycle_hit, without a generator to create and close on
-    every scan row.  A decision is truthy, so _screen(...) or
-    _unit_walk(...) is the whole decision."""
+    _handover(D) steps, as represents hands over.  A decision is truthy, so
+    _screen(...) or _unit_walk(...) is the whole decision."""
     f_red, _ = _reduce(form, D, root)
     a_f, b_f, c_f = f_red
     targets = f_red, (c_f, b_f, a_f)
@@ -873,27 +865,24 @@ def _unit_walk(form: _Form, t: int, D: int, root: int) -> RepDecision:
         return _REPRESENTED
     # a has the sign of t after an even number of steps, and |t0's c| = (D - b^2)/4
     A, C = 2, (D - b * b) >> 1
-    walked, passes = 0, _SWITCH // 4  # _SWITCH // 2 steps, then on to _handover(D)
-    while passes:
-        for _ in repeat(None, passes):
-            q = (root + b) // C
-            b1 = C * q - b
-            if b1 == b:  # the middle edge, to tau of the form before it
-                return _NONE_PROVED
-            A -= q * (b1 - b)
-            if b1 == b_f and (-t * (C >> 1), b1, t * (A >> 1)) in targets:
-                return _REPRESENTED
-            q = (root + b1) // A
-            b = A * q - b1
-            if b == b1:
-                return _NONE_PROVED
-            C -= q * (b - b1)
-            if b == b_f and (t * (A >> 1), b, -t * (C >> 1)) in targets:
-                return _REPRESENTED
-        walked += 2 * passes
-        passes = (_handover(D) + 1) // 2 - walked // 2
+    passes = _handover(D) // 2
+    for _ in repeat(None, passes):
+        q = (root + b) // C
+        b1 = C * q - b
+        if b1 == b:  # the middle edge, to tau of the form before it
+            return _NONE_PROVED
+        A -= q * (b1 - b)
+        if b1 == b_f and (-t * (C >> 1), b1, t * (A >> 1)) in targets:
+            return _REPRESENTED
+        q = (root + b1) // A
+        b = A * q - b1
+        if b == b1:
+            return _NONE_PROVED
+        C -= q * (b - b1)
+        if b == b_f and (t * (A >> 1), b, -t * (C >> 1)) in targets:
+            return _REPRESENTED
     end = (t * (A >> 1), b, -t * (C >> 1))
-    if _giant(t0, end, walked, targets, D, root) is None:
+    if _giant(t0, end, 2 * passes, targets, D, root) is None:
         return _NONE_PROVED
     return _REPRESENTED
 
@@ -912,9 +901,9 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     meets a reduced target or closes the cycle, which proves that t is not
     represented; where the targets allow, it mirrors at the cycle's first
     edge and closes at its second (_cycle_hit).  A walk that has not ended
-    after _SWITCH // 2 steps goes on until it has passed a window, to
-    _handover(D) steps, and is then finished by giant strides (_giant), which
-    meet the same first target, or give the same proof.
+    after _handover(D) steps, worked out once before it, past the start
+    window, is finished by giant strides (_giant), which meet the same
+    first target, or give the same proof.
 
     A scan row takes a shorter decision with no witness, its screens
     specialised and then the walk on half of the target's cycle
@@ -943,7 +932,7 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
             C = (B * B - D) // four_t
             g_red, (_, _, r, s) = _reduce((t, B, C), D, root)
             targets.setdefault(g_red, (s, -r))
-    found = _cycle_hit(f_red, targets, root, _passes(D)) if targets else None
+    found = _cycle_hit(f_red, targets, root, _handover(D)) if targets else None
     if found is not None and found[0] not in targets:
         end, head = found
         found = _giant(f_red, end, len(head), targets, D, root)

@@ -1142,16 +1142,9 @@ def test_edgeless_strided_hit_keeps_no_quotient_list(monkeypatch):
 
 
 def test_walks_hand_over_once_past_the_window(monkeypatch):
-    # a walk still open after _SWITCH // 2 steps goes on to _handover(D) =
-    # max(_SWITCH // 2, W) steps, past the window W, and hands over there,
-    # where it used to walk _SWITCH steps.  The half walks of g <= 600
-    # (scan-grid's cells) all end within _SWITCH // 2 steps, and never work
-    # the bound out
-    handover = bqf._handover
-    monkeypatch.setattr(bqf, "_handover", lambda D: pytest.fail("worked out the hand-over"))
-    for form, D in _open_cells(600):
-        bqf._unit_walk(form, -1, D, isqrt(D))
-    monkeypatch.setattr(bqf, "_handover", handover)
+    # a walk still open after _handover(D) = max(_SWITCH // 2, W) steps,
+    # past the window W, hands over there, where it used to walk _SWITCH
+    # steps
     # on g in [2000, 4000), W = 90-126: represents' witnesses and the scan's
     # decisions are the walk's, and the strides settle hits and closed
     # cycles of both walks in the band that the walks used to take, past
@@ -1193,6 +1186,43 @@ def test_walks_hand_over_once_past_the_window(monkeypatch):
     band = Counter((k % 2, now) for k, (now, then) in enumerate(zip(strided, before))
                    if then is None)
     assert min(band[k, outcome] for k in (0, 1) for outcome in ("hit", "closed")) > 0, band
+
+
+def test_walks_hand_over_past_half_the_switch(monkeypatch):
+    # near g = 3 * 10^5 the window W = 1,094 is past _SWITCH // 2, so both
+    # walks of these open cells hand over at _handover(D) = W: the scan's
+    # half walk after exactly W steps, represents' walk W steps along the
+    # cycle or, where it mirrored, one more, as the mirrored steps count
+    # too, since (300000, 2) mirrors in its second pass.  Hits and closed
+    # cycles give the witnesses and decisions of the walk alone
+    cells = [*((300000, s) for s in (-1, 2, 3, 4, 5, 7, 9, 10)),
+             (300001, 0), (300001, 3), (300002, 6), (300002, 10)]
+    forms = [_minus_two_form(g, s) for g, s in cells]
+    D = {f.discriminant() for f in forms}
+    assert {bqf._handover(d) for d in D} == {bqf._window_size(d) for d in D} == {1094}
+    assert 1094 > bqf._SWITCH // 2
+
+    def decide(f):
+        form, D = (f.a, f.b, f.c), f.discriminant()
+        return (represents(f, -1),
+                bqf._screen(form, -1, D, isqrt(D)) or bqf._unit_walk(form, -1, D, isqrt(D)))
+    switch = bqf._SWITCH
+    monkeypatch.setattr(bqf, "_SWITCH", 10 ** 9)
+    walked = [decide(f) for f in forms]
+    monkeypatch.setattr(bqf, "_SWITCH", switch)
+    giant, handed = bqf._giant, []
+    monkeypatch.setattr(bqf, "_giant", lambda f_red, end, steps, *args: handed.append(steps)
+                        or giant(f_red, end, steps, *args))
+    past = []
+    for cell, f, expected in zip(cells, forms, walked):
+        del handed[:]
+        assert decide(f) == expected, cell
+        check, scan = handed
+        assert check in (1094, 1095) and scan == 1094, (cell, handed)
+        past += [cell] * (check - 1094)
+    assert past == [(300000, 2)]
+    assert {check.status for check, _ in walked} == {DecisionStatus.WITNESS,
+                                                      DecisionStatus.NONE_PROVED}
 
 
 def test_unit_hand_overs_read_h_off_the_principal_window(monkeypatch):
