@@ -46,12 +46,13 @@ edge is rho^k tau f_e = tau rho^-k f_e = tau(f_(e-k)); and rho(c, b, a) =
 appends the quotients before its first edge reversed, goes on from tau of
 its start, and ends at its second edge.  To assemble a witness, the
 quotients are signed into the walk's transform, one shear [[0, -1], [1, s]]
-per step, which is applied to a column vector, as only the witness is
-needed.  Up to _DIRECT shears they are applied one at a time, a two-term
-update each; a longer transform is assembled in a balanced product tree
-(Bernstein, "Fast multiplication and its applications", 2008) whose right
-spine is applied to the vector: near-linear in the witness size, where one
-shear at a time is quadratic.
+per step, multiplied out in a balanced product tree (Bernstein, "Fast
+multiplication and its applications", 2008): near-linear in the witness
+size, where one shear at a time is quadratic.  The same tree multiplies
+out the windows, h and a strided hit's last window below.  A walk hit that
+never hands over has fewer than 2 * _handover(D) shears, as the walk takes
+at most _handover(D) steps and its mirror appends fewer, so it needs no
+other path.
 
 A walk that has not ended after _handover(D) steps, the larger of
 _SWITCH // 2 and a window's worth of steps, W, worked out once before the
@@ -278,7 +279,7 @@ def _reduce(form: _Form, D: int, root: int) -> tuple[_Form, _Mat]:
             bp = root - ((root + b) % two)
         s = (b + bp) // (2 * c)
         a, b, c = c, bp, (bp * bp - D) // (4 * c)
-        # times the shear [[0, -1], [1, s]], as in _leaf_product
+        # times the shear [[0, -1], [1, s]], as in a leaf of _product
         p, q, r, t = q, s * q - p, t, s * t - r
 
 
@@ -287,46 +288,17 @@ def _reduce(form: _Form, D: int, root: int) -> tuple[_Form, _Mat]:
 _LEAF = 32
 
 
-def _leaf_product(shears: Sequence[int]) -> _Mat:
-    """The product of the shears [[0, -1], [1, s]] in order, by direct update."""
+def _product(shears: Sequence[int]) -> _Mat:
+    """The product of the shears [[0, -1], [1, s]] in order, as a balanced
+    product tree over leaves of _LEAF shears (the last one 1 to _LEAF)."""
+    if len(shears) > _LEAF:
+        mid = -(-len(shears) // _LEAF) // 2 * _LEAF  # half of the leaves
+        return _matmul(_product(shears[:mid]), _product(shears[mid:]))
     p, q, r, t = _IDENTITY
     for s in shears:
         p, q = q, s * q - p
         r, t = t, s * t - r
     return p, q, r, t
-
-
-def _product(shears: Sequence[int]) -> _Mat:
-    """The product of the shears [[0, -1], [1, s]] in order, as a balanced
-    product tree over leaves of _LEAF shears (the last one 1 to _LEAF)."""
-    if len(shears) <= _LEAF:
-        return _leaf_product(shears)
-    mid = -(-len(shears) // _LEAF) // 2 * _LEAF  # half of the leaves
-    return _matmul(_product(shears[:mid]), _product(shears[mid:]))
-
-
-# Shears applied to a vector one at a time.  Each update costs the size of
-# the vector, so this is quadratic in the witness size, but it builds no
-# matrices: on (-2) witnesses, about 1.7 bits per shear, it was cheaper than
-# the product tree below about 1,300 shears (2-core x86-64 Xeon host,
-# Python 3.11).  At least _LEAF, so that the tree's halves are not empty.
-_DIRECT = 1024
-
-
-def _apply(shears: Sequence[int], v: tuple[int, int]) -> tuple[int, int]:
-    """The product of the shears in order times the column vector v.  Up to
-    _DIRECT shears, each is applied to v, the last first; otherwise the
-    right half is applied to v first, so along the right spine of the
-    product tree only a vector is formed."""
-    x, y = v
-    if len(shears) <= _DIRECT:
-        for s in reversed(shears):
-            x, y = -y, x + s * y
-        return x, y
-    mid = -(-len(shears) // _LEAF) // 2 * _LEAF
-    x, y = _apply(shears[mid:], v)
-    p, q, r, t = _product(shears[:mid])
-    return p * x + q * y, r * x + t * y
 
 
 def _cycle_bound(root: int) -> int:
@@ -908,8 +880,8 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     A scan row takes a shorter decision with no witness, its screens
     specialised and then the walk on half of the target's cycle
     (_unit_walk).  represents goes on to assemble the witness of a hit: the
-    walk's shears applied to a vector (_apply), or after strides their
-    signs (_signed_strides) and the product of the strides (_column).  The
+    product of the walk's shears (_product), or after strides their signs
+    (_signed_strides) and the product of the strides (_column).  The
     witness is re-checked exactly before it is returned.
     """
     if t == 0:
@@ -943,7 +915,9 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
     hit, path = found
     if type(path) is list:
         # the first column of m_f * m_cycle * inverse(m_g)
-        x, y = _apply(_signed(path, f_red[0]), targets[hit])
+        x, y = targets[hit]
+        p, q, r, s = _product(_signed(path, f_red[0]))
+        x, y = p * x + q * y, r * x + s * y
         p, q, r, s = m_f
         m, n = p * x + q * y, r * x + s * y
     else:

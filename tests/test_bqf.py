@@ -511,16 +511,6 @@ def test_represents_pinned_large_witnesses(cell, step, bits, digest):
     assert hashlib.sha256(f"{m},{n}".encode()).hexdigest() == digest
 
 
-def test_pinned_witnesses_through_the_product_tree(monkeypatch):
-    # with _DIRECT at its least, _LEAF, every hit past one leaf is assembled
-    # in the product tree, which the pinned witnesses then pin as well
-    monkeypatch.setattr(bqf, "_DIRECT", bqf._LEAF)
-    for cell, _, witness in PINNED_CELLS:
-        assert represents(_minus_two_form(*cell), -1).witness == witness, cell
-    for coeffs, t, _, witness in PINNED_FORMS:
-        assert represents(QuadraticForm(*coeffs), t).witness == witness, coeffs
-
-
 def _sequential_shear_product(shears):
     # independent reference: left-to-right 2x2 products, one shear at a time
     def matmul(x, y):
@@ -530,19 +520,15 @@ def _sequential_shear_product(shears):
 
 
 def test_shear_product_tree_matches_sequential_fold():
-    L, D = bqf._LEAF, bqf._DIRECT
+    L, H = bqf._LEAF, bqf._SWITCH // 2
     lengths = [0, 1, L - 1, L, L + 1]
     lengths += [(1 << k) * L + e for k in range(1, 5) for e in (-1, 1)]
-    # _apply switches from one shear at a time to the product tree past D
-    lengths += [D - 1, D, D + 1]
+    # around the _SWITCH // 2 = 1,024 steps of a walk that hands over
+    lengths += [H - 1, H, H + 1]
     rng = random.Random(4)
     for n in lengths:
         shears = [rng.randint(-40, 40) for _ in range(n)]
-        p, q, r, t = _sequential_shear_product(shears)
-        assert bqf._product(shears) == (p, q, r, t), n
-        # applied to a column vector
-        x, y = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
-        assert bqf._apply(shears, (x, y)) == (p * x + q * y, r * x + t * y), n
+        assert bqf._product(shears) == _sequential_shear_product(shears), n
 
 
 def test_cycle_walk_matches_plain_rho_walk():
@@ -798,21 +784,17 @@ def test_closed_walk_builds_no_product(monkeypatch):
             calls.append(fn.__name__)
             return fn(*args)
         return wrapped
-    assembly = ("_apply", "_product", "_leaf_product", "_matmul")
+    assembly = ("_product", "_matmul")
     for name in assembly:
         monkeypatch.setattr(bqf, name, counted(getattr(bqf, name)))
-    # a hit 129 steps in applies its shears to a vector, one at a time up to
-    # _DIRECT shears and through the product tree past it; a closed walk
-    # does neither
+    # a hit 129 steps in multiplies its shears in the product tree, past one
+    # leaf; a closed walk multiplies nothing
     hit = _minus_two_form(420, -1)
-    for direct, expected in ((bqf._DIRECT, {"_apply"}), (2 * bqf._LEAF, set(assembly))):
-        monkeypatch.setattr(bqf, "_DIRECT", direct)
-        calls.clear()
-        assert represents(hit, -1).witness == PINNED_CELLS[-2][2]
-        assert set(calls) == expected, direct
-        calls.clear()
-        assert represents(f, -1).status is DecisionStatus.NONE_PROVED
-        assert calls == [], direct
+    assert represents(hit, -1).witness == PINNED_CELLS[-2][2]
+    assert set(calls) == set(assembly)
+    calls.clear()
+    assert represents(f, -1).status is DecisionStatus.NONE_PROVED
+    assert calls == []
 
 
 def test_represents_hard_cell_100135_2():
@@ -1223,6 +1205,30 @@ def test_walks_hand_over_past_half_the_switch(monkeypatch):
     assert past == [(300000, 2)]
     assert {check.status for check, _ in walked} == {DecisionStatus.WITNESS,
                                                       DecisionStatus.NONE_PROVED}
+
+
+def test_walk_hits_multiply_fewer_than_twice_the_hand_over(monkeypatch):
+    # a hit of represents' walk that never reaches _giant has walked at most
+    # _handover(D) steps, and a mirror appends fewer quotients than it has,
+    # so the one product tree multiplies fewer than 2 * _handover(D) shears;
+    # on g in [2000, 3000] that is 2,048, and 119 hits pass 1,024 shears
+    giant, product = bqf._giant, bqf._product
+    handed, lengths = [], []
+    monkeypatch.setattr(bqf, "_giant", lambda *args: handed.append(args) or giant(*args))
+    monkeypatch.setattr(bqf, "_product", lambda shears: lengths.append(len(shears))
+                        or product(shears))
+    longest = []
+    for form, D in _open_cells(3000):
+        if form[2] < 1999:
+            continue
+        del handed[:], lengths[:]
+        if represents(QuadraticForm(*form), -1).status is DecisionStatus.WITNESS and not handed:
+            assert bqf._handover(D) == bqf._SWITCH // 2
+            assert max(lengths) < 2 * bqf._handover(D), form
+            longest.append(max(lengths))
+    assert len(longest) == 1657
+    assert sum(n > bqf._SWITCH // 2 for n in longest) == 119
+    assert max(longest) == 1957
 
 
 def test_unit_hand_overs_read_h_off_the_principal_window(monkeypatch):

@@ -103,8 +103,10 @@ def test_golden_represents_digest():
     assert kernel_digest() == KERNEL
 
 
-# the witness assembly of represents: a scan takes the decision alone
-ASSEMBLY = ("_apply", "_column", "_signed_strides", "_count_to")
+# the witness assembly of represents: a scan takes the decision alone.  Not
+# _product or _matmul, which multiply a walk hit's shears: a scan's
+# hand-over multiplies its windows with them
+ASSEMBLY = ("_column", "_signed_strides", "_count_to")
 
 
 def test_scan_assembles_no_witness(monkeypatch):
