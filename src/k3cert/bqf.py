@@ -44,15 +44,16 @@ keeps b (an edge) takes f_e to tau(f_e), so the form k + 1 steps past the
 edge is rho^k tau f_e = tau rho^-k f_e = tau(f_(e-k)); and rho(c, b, a) =
 (a, b, c) exactly when a | b, so such a target follows an edge.  The walk
 appends the quotients before its first edge reversed, goes on from tau of
-its start, and ends at its second edge.  To assemble a witness, the
-quotients are signed into the walk's transform, one shear [[0, -1], [1, s]]
-per step, multiplied out in a balanced product tree (Bernstein, "Fast
-multiplication and its applications", 2008): near-linear in the witness
-size, where one shear at a time is quadratic.  The same tree multiplies
-out the windows, h and a strided hit's last window below.  A walk hit that
-never hands over has fewer than 2 * _handover(D) shears, as the walk takes
-at most _handover(D) steps and its mirror appends fewer, so it needs no
-other path.
+its start, and ends at its second edge.  Every witness is the first
+column of one chain of transforms, f to f_red to the target met to
+(t, B, C), multiplied out in Q(sqrt(D)) (_column).  A walk hit's middle
+node is the walk's transform, its quotients signed into one shear
+[[0, -1], [1, s]] per step and multiplied out in a balanced product tree
+(Bernstein, "Fast multiplication and its applications", 2008): near-linear
+in the witness size, where one shear at a time is quadratic.  The same tree
+multiplies out the windows, h and a strided hit's last window below.  A
+walk hit that never hands over has fewer than 2 * _handover(D) shears, as
+the walk takes at most _handover(D) steps and its mirror appends fewer.
 
 A walk that has not ended after _handover(D) steps, the larger of
 _SWITCH // 2 and a window's worth of steps, W, worked out once before the
@@ -71,11 +72,12 @@ that landing.  A stride's transform is the walk's only up to sign,
 which depends on the number of steps mod 4, so the assembly of a strided
 hit counts its steps: a cycle walk goes on to the target, recording
 nothing, and where the target follows an edge it jumps to tau of the start
-at the first edge it meets.  The witness is assembled from the walk's exact
-transform to the first stride and the strides, in a balanced product tree
-in Q(sqrt(D)).  The half walk of t0's cycle hands over to the same
-strides, with f_red and tau(f_red) as its targets, and takes only their
-decision.
+at the first edge it meets.  A strided hit's middle nodes are the walk's
+exact transform to the first stride and the strides.  A stride that is not
+certified hands back to the walk, as the first one does where the principal
+cycle is shorter than h's three quarters of a window.  The half walk of
+t0's cycle hands over to the same strides, with f_red and tau(f_red) as its
+targets, and takes only their decision.
 """
 
 from __future__ import annotations
@@ -428,8 +430,11 @@ def _signed(quotients: list[int], a: int) -> list[int]:
 # the first stride that lands in a target's window has passed the first
 # target met, and one that lands in the start window has gone round the
 # cycle past every target.  The decision ends there; its hit keeps the
-# strides, after the walk's exact transform from f_red to f_last, for the
-# assembly of the witness.
+# strides, after the walk's exact transform from f_red to f_last, as the
+# middle nodes of its chain (_column).  A principal cycle of at most n_h
+# forms wraps its window, so h is a whole cycle along, longer than the start
+# window (every primitive cycle of D spans the same distance): _certified
+# rejects the first stride, and the walk takes over, as after any rejection.
 #
 # A stride's transform is the walk's only up to sign, and the walk's sign
 # depends on its number of steps mod 4, which no form shows.  So the
@@ -594,9 +599,10 @@ def _giant(f_red: _Form, end: _Form, walked: int, targets: Collection[_Form],
     `end` after `walked` steps and met neither a target nor f_red again.
 
     Returns None when no target is on the cycle; else the first target met
-    and how it was reached: the strides, for _signed_strides, or the
-    quotients from `end` of the plain walk (_cycle_hit), which takes over
-    where a stride is not certified or f_red is not primitive, as
+    and how it was reached, for one chain (_column): the strides, for
+    _signed_strides, or the quotients from `end` of the plain walk
+    (_cycle_hit), which takes over where a stride is not certified, as on a
+    principal cycle of at most n_h forms, or f_red is not primitive, as
     composition needs, and ends within one cycle."""
     if gcd(*f_red) != 1:
         return _cycle_hit(end, targets, root)
@@ -641,10 +647,7 @@ def _giant(f_red: _Form, end: _Form, walked: int, targets: Collection[_Form],
     reach = min(_reach(g, last, m[2], root) for (g, _, last), m in zip(walks, products))
     p_f, _, r_f, _ = products[0]
     if P is None:
-        _, pshears, _, p_closed = _window(p_red, n_h, root)
-        if p_closed:  # a principal cycle of at most n_h steps gives no h
-            return _cycle_hit(end, targets, root)
-        P = _product(pshears)
+        P = _product(_window(p_red, n_h, root)[1])
     p, q, r, s = P
     h = (a * p * p + b * p * r + c * r * r, 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
          a * q * q + b * q * s + c * s * s)  # p_red(P(x, y))
@@ -879,10 +882,10 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
 
     A scan row takes a shorter decision with no witness, its screens
     specialised and then the walk on half of the target's cycle
-    (_unit_walk).  represents goes on to assemble the witness of a hit: the
-    product of the walk's shears (_product), or after strides their signs
-    (_signed_strides) and the product of the strides (_column).  The
-    witness is re-checked exactly before it is returned.
+    (_unit_walk).  represents assembles a hit's witness as one chain in
+    Q(sqrt(D)) (_column): f to f_red, the product of the walk's shears
+    (_product) or the signed strides (_signed_strides), then (t, B, C).
+    The witness is re-checked exactly before it is returned.
     """
     if t == 0:
         raise ValueError("target 0 is decided by zero_witness")
@@ -904,7 +907,7 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
             C = (B * B - D) // four_t
             g_red, (_, _, r, s) = _reduce((t, B, C), D, root)
             targets.setdefault(g_red, (s, -r))
-    found = _cycle_hit(f_red, targets, root, _handover(D)) if targets else None
+    found = _cycle_hit(f_red, targets, root, _handover(D))
     if found is not None and found[0] not in targets:
         end, head = found
         found = _giant(f_red, end, len(head), targets, D, root)
@@ -914,15 +917,11 @@ def represents(f: QuadraticForm, t: int) -> RepDecision:
         return _NONE_PROVED
     hit, path = found
     if type(path) is list:
-        # the first column of m_f * m_cycle * inverse(m_g)
-        x, y = targets[hit]
-        p, q, r, s = _product(_signed(path, f_red[0]))
-        x, y = p * x + q * y, r * x + s * y
-        p, q, r, s = m_f
-        m, n = p * x + q * y, r * x + s * y
+        p, _, r, _ = _product(_signed(path, f_red[0]))
+        nodes = [(f_red, p, r)]
     else:
         nodes = _signed_strides(f_red, *path, root)
-        m, n = _column([(form, m_f[0], m_f[2]), *nodes, (hit, *targets[hit])], D)
+    m, n = _column([(form, m_f[0], m_f[2]), *nodes, (hit, *targets[hit])], D)
     # 4a*Q(m, n) = (2am + bn)^2 - D*n^2, and a != 0 since D is not a square
     a = f.a
     if (2 * a * m + f.b * n) ** 2 - D * (n * n) != 4 * a * t:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bqf import DecisionStatus, RepDecision, int_text
-from .clifford import CliffordReport, verify_clifford
+from .clifford import CliffordReport, gamma, verify_clifford
 from .lattice import K3Config, minus_two_status
 
 REGIME_STRONG = "strong"
@@ -133,7 +133,6 @@ def build_certificate(g: int, s: int) -> Certificate:
         reasons.append(f"a (-2)-class exists at (m, n) = ({int_text(m)}, {int_text(n)})")
     elif not clifford.passed:
         reasons.append("constraint-region minimum falls below floor((g-1)/2)")
-    # gamma_E is clifford.gamma(2, d, 4), written out
     return Certificate(g, s, d, regime, delta_ok, delta_ok, minus_two, clifford, (g - 1) // 2,
-                       Fraction(d - 4, 2), gap_lower_bound(g, s), expected_dim_bn24(g, s),
+                       gamma(2, d, 4), gap_lower_bound(g, s), expected_dim_bn24(g, s),
                        2 * s + 4, 5, conclusion, tuple(reasons))

@@ -121,9 +121,7 @@ def _scan_genus(g: int, s_min: int, s_max: int) -> tuple[list[tuple], int]:
         low = _minimum(d, g, delta, root)[0] if minus_two_ok else None
         clifford_pass = minus_two_ok and (low is None or low >= gamma1)
         regime = check_hypotheses(g, s)
-        # _method_text(dec), inline: a call per cell costs more than the test
-        method = ("" if dec is None else
-                  "mod_scan" if dec.status is _OBSTRUCTED_MOD else "pell_search")
+        method = "" if dec is None else _method_text(dec)
         rows.append((g, s, d, regime, delta_ok, delta_ok, method, clifford_pass, gamma1,
                      _half_text(d - 4), _half_text(twice_gap), dim,
                      decide_conclusion(regime, delta_ok, delta_ok, minus_two_ok, clifford_pass)))

@@ -784,11 +784,12 @@ def test_closed_walk_builds_no_product(monkeypatch):
             calls.append(fn.__name__)
             return fn(*args)
         return wrapped
-    assembly = ("_product", "_matmul")
+    assembly = ("_product", "_matmul", "_column")
     for name in assembly:
         monkeypatch.setattr(bqf, name, counted(getattr(bqf, name)))
     # a hit 129 steps in multiplies its shears in the product tree, past one
-    # leaf; a closed walk multiplies nothing
+    # leaf, and its first column is one node of the chain in Q(sqrt(D)); a
+    # closed walk multiplies nothing
     hit = _minus_two_form(420, -1)
     assert represents(hit, -1).witness == PINNED_CELLS[-2][2]
     assert set(calls) == set(assembly)
@@ -869,6 +870,19 @@ def test_genus_step_never_hides_a_hit():
                 fired += 1
                 assert _hit_step(QuadraticForm(*form), t) is None, (form, t)
     assert fired > 15_000
+
+
+def test_two_without_a_target_is_obstructed_mod():
+    # at |t| = 2 no B has B^2 = D (mod 8) when D = 5 (mod 8); then a, b and c
+    # are odd, so Q(m, n) is odd unless m and n are both even, and Q is never
+    # 2 (mod 4): the residue scan settles every such query before represents
+    # looks for a target
+    queries = [(form, t) for form, D in _small_indefinite_forms()
+               if abs(form[1]) <= 12 and D % 8 == 5 for t in (-2, 2)]
+    assert len(queries) == 2136
+    assert all(B * B % 8 != 5 for B in range(4))
+    for form, t in queries:
+        assert represents(QuadraticForm(*form), t).status is DecisionStatus.OBSTRUCTED_MOD, form
 
 
 def test_genus_characters_match_residue_scan():
@@ -1050,6 +1064,42 @@ def test_giant_strides_match_the_walk_on_small_forms(monkeypatch):
     assert strided == walked
     # for every target sign, strides settle hits and landings close cycles
     assert all(hits >= 1 and closed >= 1 for hits, closed in settled.values()), settled
+
+
+def test_short_principal_cycle_hands_back_to_the_walk(monkeypatch):
+    # a principal window that wraps gives an h one whole cycle along, and
+    # every primitive cycle of D spans the same distance, longer than the
+    # start window: _certified rejects the first stride, and _giant hands
+    # back to the walk from `end`, as for any uncertified stride.  A
+    # non-primitive f_red is handed back before any stride, by the gcd guard
+    queries = [(QuadraticForm(*form), t) for form, _ in _small_indefinite_forms()
+               if abs(form[0]) <= 8 and abs(form[2]) <= 8 for t in (-2, 2)]
+    monkeypatch.setattr(bqf, "_SWITCH", 10 ** 9)
+    walked = [represents(f, t) for f, t in queries]
+    giant, certified, signed_strides = bqf._giant, bqf._certified, bqf._signed_strides
+    log: list = []
+    monkeypatch.setattr(bqf, "_certified", lambda *args: log.append(certified(*args)) or log[-1])
+    monkeypatch.setattr(bqf, "_signed_strides", lambda *args: log.append("_signed_strides")
+                        or signed_strides(*args))
+    short = []
+
+    def logged(f_red, end, steps, targets, D, root):
+        start = len(log)
+        found = giant(f_red, end, steps, targets, D, root)
+        B = D & 1
+        p_red, _ = bqf._reduce((1, B, (B * B - D) // 4), D, root)
+        n_h = 3 * min(bqf._window_size(D), bqf._SWITCH, steps) // 4
+        if _cycle_length(p_red, D, root) <= n_h:
+            short.append((gcd(*f_red) == 1, found is not None, log[start:]))
+        return found
+    monkeypatch.setattr(bqf, "_giant", logged)
+    monkeypatch.setattr(bqf, "_SWITCH", 4)
+    monkeypatch.setattr(bqf, "_window_size", lambda D: 4)
+    assert [represents(f, t) for f, t in queries] == walked
+    assert len(short) == 46 and all(hit for _, hit, _ in short)
+    assert {primitive for primitive, _, _ in short} == {True, False}
+    # one stride, rejected, where f_red is primitive; none where it is not
+    assert all(calls == ([False] if primitive else []) for primitive, _, calls in short), short
 
 
 def test_giant_strides_stop_at_the_cycle_bound(monkeypatch):
